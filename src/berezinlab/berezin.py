@@ -395,10 +395,6 @@ class ScalarField:
         return complex(self.evaluator(z))
 
 
-def symbol_field(u: MonomialSymbol, label: str = "symbol") -> ScalarField:
-    return ScalarField(lambda z: u.evaluate(disk_value(z)), label)
-
-
 def berezin_series_field(u: MonomialSymbol, tol: float = 1e-12) -> ScalarField:
     return ScalarField(lambda z: berezin_symbol_series(u, z, tol), "berezin-series")
 

@@ -71,13 +71,6 @@ def mobius_eval(z, w) -> complex:
     return (zv - wv) / (1.0 - zv.conjugate() * wv)
 
 
-def mobius_eval_array(z, w: np.ndarray) -> np.ndarray:
-    """Vectorized phi_z over an array of points already known to lie in D."""
-    zv = disk_value(z)
-    w = np.asarray(w, dtype=complex)
-    return (zv - w) / (1.0 - zv.conjugate() * w)
-
-
 def mobius_deriv(z, w) -> complex:
     """Complex derivative of phi_z at w: (|z|^2 - 1) / (1 - conj(z) w)^2."""
     zv, wv = disk_value(z), disk_value(w)

@@ -202,9 +202,11 @@ def unitary_uz(z, dim: int) -> TruncatedOperator:
     """Compression of the self-adjoint unitary U_z f = (f o phi_z) phi_z'.
 
     Column p holds the first ``dim`` orthonormal-basis coefficients of
-    sqrt(p+1) * phi_z^p * phi_z', generated by exact truncated power
-    series products.  U_z exchanges the constants with -k_z and squares
-    to the identity; both survive compression up to geometric tails.
+    sqrt(p+1) * phi_z^p * phi_z'.  They come from the exact recurrence
+    for multiplication by the rational phi_z (see ``_uz_columns``), in
+    O(dim^2) operations whatever |z| is.  U_z exchanges the constants
+    with -k_z and squares to the identity; both survive compression up
+    to geometric tails.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -212,25 +214,57 @@ def unitary_uz(z, dim: int) -> TruncatedOperator:
 
 
 def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
-    """The first ``cols`` columns of U_z, each cut to its first ``rows`` entries."""
+    """The first ``cols`` columns of U_z, each cut to its first ``rows`` entries.
+
+    Let D[n, p] be the Taylor coefficient of w^n in phi_z^p * phi_z'.
+    Column 0 is the series of phi_z' = (|z|^2 - 1) / (1 - conj(z) w)^2,
+    and (1 - conj(z) w) * phi_z^p phi_z' = (z - w) * phi_z^(p-1) phi_z'
+    gives, with D[-1, p] = 0,
+
+        D[n, p] = conj(z) D[n-1, p] + z D[n, p-1] - D[n-1, p-1].
+
+    Every entry reads only antidiagonals n+p-1 and n+p-2, so the sweep
+    runs over antidiagonals with three rolling buffers of length
+    ``cols`` and writes each one into the output through a strided view.
+    Entries with n < rows read only entries with smaller n, so the cut
+    at ``rows`` is exact.  The cost is O(rows * cols) operations and
+    O(cols) memory beyond the output; the orthonormal scaling
+    sqrt(p+1) / sqrt(n+1) is applied in place at the end.
+    """
     zv = disk_value(z)
     zc = zv.conjugate()
     t = abs(zv) ** 2
 
-    # Taylor series of phi_z and phi_z' out to length rows.
-    phi = np.zeros(rows, dtype=complex)
-    phi[0] = zv
-    if rows > 1:
-        phi[1:] = -(1.0 - t) * zc ** np.arange(0, rows - 1)
-    dphi = (t - 1.0) * np.arange(1, rows + 1) * zc ** np.arange(0, rows)
-
     m = np.empty((rows, cols), dtype=complex)
-    inv_root = 1.0 / np.sqrt(np.arange(1, rows + 1, dtype=float))
-    column = dphi.copy()
-    m[:, 0] = column * inv_root
-    for p in range(1, cols):
-        column = np.convolve(column, phi)[:rows]
-        m[:, p] = np.sqrt(p + 1.0) * column * inv_root
+    m[:, 0] = (t - 1.0) * np.arange(1, rows + 1) * zc ** np.arange(0, rows)
+    if cols > 1:
+        flat = m.reshape(-1)
+        step = cols - 1
+        # prev2, prev1, cur: antidiagonals k-2, k-1, k indexed by p; an
+        # index not yet reached by the sweep still holds D[-1, p] = 0.
+        # term holds z * prev1, so the sweep allocates nothing per step.
+        prev2, prev1, cur, term = np.zeros((4, cols), dtype=complex)
+        prev1[0] = m[0, 0]
+        for k in range(1, rows + cols - 1):
+            lo, hi = max(1, k - rows + 1), min(cols - 1, k) + 1
+            if k < rows:
+                cur[0] = m[k, 0]
+            out, shifted = cur[lo:hi], term[:hi - lo]
+            np.multiply(prev1[lo:hi], zc, out=out)
+            np.multiply(prev1[lo - 1:hi - 1], zv, out=shifted)
+            out += shifted
+            out -= prev2[lo - 1:hi - 1]
+            # entry (k - p, p) sits at flat index k*cols - p*step >= 1;
+            # stop one short of the last, since a negative stop would wrap
+            first = (k - lo) * cols + lo
+            last = first - (hi - lo - 1) * step
+            flat[first:last - 1:-step] = out
+            prev2, prev1, cur = prev1, cur, prev2
+    # scale the real and imaginary parts as floats: (x * s) / s == x for
+    # x = +-1, so the diagonal of U_0 stays exactly -1, 1, -1, ...
+    parts = m.view(float).reshape(rows, cols, 2)
+    parts *= np.sqrt(np.arange(1, cols + 1, dtype=float))[:, None]
+    parts /= np.sqrt(np.arange(1, rows + 1, dtype=float))[:, None, None]
     return m
 
 

@@ -28,6 +28,25 @@ def toeplitz_by_moments(u, dim):
     return m
 
 
+def uz_columns_by_convolution(z, rows, cols):
+    """Reference U_z columns: column p is column p-1 convolved with phi_z."""
+    zv = complex(z)
+    zc = zv.conjugate()
+    t = abs(zv) ** 2
+    phi = np.zeros(rows, dtype=complex)
+    phi[0] = zv
+    phi[1:] = -(1.0 - t) * zc ** np.arange(0, rows - 1)
+    dphi = (t - 1.0) * np.arange(1, rows + 1) * zc ** np.arange(0, rows)
+    want = np.empty((rows, cols), dtype=complex)
+    inv_root = 1.0 / np.sqrt(np.arange(1, rows + 1, dtype=float))
+    column = dphi.copy()
+    want[:, 0] = column * inv_root
+    for p in range(1, cols):
+        column = np.convolve(column, phi)[:rows]
+        want[:, p] = np.sqrt(p + 1.0) * column * inv_root
+    return want
+
+
 class TestTruncatedOperator:
     def test_validates_shape_and_finiteness(self):
         with pytest.raises(ValueError):
@@ -141,9 +160,10 @@ class TestToeplitzAnalytic:
 
 class TestUnitary:
     def test_parity_at_origin(self):
-        got = unitary_uz(0.0, 5).matrix
-        want = np.diag([(-1.0) ** (p + 1) for p in range(5)])
-        assert np.max(np.abs(got - want)) < 1e-15
+        for dim in (5, 64):
+            got = unitary_uz(0.0, dim).matrix
+            want = np.diag([(-1.0) ** (p + 1) for p in range(dim)])
+            assert np.array_equal(got, want)
 
     def test_first_column_is_minus_kernel(self):
         z = 0.4 - 0.3j
@@ -176,27 +196,23 @@ class TestUnitary:
             assert np.max(np.abs(u[:, p] - want)) < 1e-12
 
 
-    @pytest.mark.parametrize("z", [0.5, 0.3 + 0.2j, -0.7])
+    @pytest.mark.parametrize("z", [0.5, 0.3 + 0.2j, -0.7, 0.05])
     def test_square_build_unchanged(self, z):
-        # reference: the square builder as it stood before the column
-        # builder was split out; the arithmetic is the same, so the
-        # output must be bitwise equal
-        dim = 64
-        zv = complex(z)
-        zc = zv.conjugate()
-        t = abs(zv) ** 2
-        phi = np.zeros(dim, dtype=complex)
-        phi[0] = zv
-        phi[1:] = -(1.0 - t) * zc ** np.arange(0, dim - 1)
-        dphi = (t - 1.0) * np.arange(1, dim + 1) * zc ** np.arange(0, dim)
-        want = np.empty((dim, dim), dtype=complex)
-        inv_root = 1.0 / np.sqrt(np.arange(1, dim + 1, dtype=float))
-        column = dphi.copy()
-        want[:, 0] = column * inv_root
-        for p in range(1, dim):
-            column = np.convolve(column, phi)[:dim]
-            want[:, p] = np.sqrt(p + 1.0) * column * inv_root
-        assert np.array_equal(unitary_uz(z, dim).matrix, want)
+        # at dim 256, z = 0.05 drives the reference's conj(z)^n subnormal
+        for dim in (64, 256):
+            want = uz_columns_by_convolution(z, dim, dim)
+            assert np.max(np.abs(unitary_uz(z, dim).matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("z, rows, cols", [
+        # dim-64 working sizes of covariant_toeplitz at |z| = 0.5 and 0.9
+        (0.5, 438, 64), (0.9, 2784, 64),
+        (0.4 - 0.3j, 1, 1), (0.4 - 0.3j, 2, 2), (0.4 - 0.3j, 7, 1),
+        (0.4 - 0.3j, 1, 7), (0.4 - 0.3j, 2, 9), (0.4 - 0.3j, 9, 2)])
+    def test_column_block_matches_convolution(self, z, rows, cols):
+        got = operators._uz_columns(z, rows, cols)
+        assert got.shape == (rows, cols)
+        want = uz_columns_by_convolution(z, rows, cols)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestCovariantRoute:
