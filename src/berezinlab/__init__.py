@@ -27,7 +27,7 @@ from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, toeplitz_quadrature, unitary_uz,
                         zero_operator)
 from .quadrature import (DiskQuadrature, QuadratureWarning, build_rule,
-                         integrate, monomial_moment)
+                         monomial_moment)
 from .symbols import (BlaschkeProduct, HarmonicProductKind, MonomialSymbol,
                       ProductClassification, classify_harmonic_product,
                       parse_blaschke_zeros, parse_complex)

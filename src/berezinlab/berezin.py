@@ -204,9 +204,7 @@ def quadrature_tail_estimate(rule: DiskQuadrature, z, symbol_degree: int = 0) ->
 
 
 def _as_evaluator(u):
-    if isinstance(u, MonomialSymbol):
-        return u.evaluate_array
-    if isinstance(u, BlaschkeProduct):
+    if isinstance(u, (MonomialSymbol, BlaschkeProduct)):
         return u.evaluate_array
     if callable(u):
         return u

@@ -79,20 +79,15 @@ class DiskQuadrature:
         return self.nodes.reshape(self.n_radial, self.n_angular)
 
     def integrate(self, f) -> complex:
-        """Integrate a pointwise evaluator (or an array of node values).
+        """Integrate a vectorized evaluator (or an array of node values).
 
-        A callable is first tried on the whole node array; evaluators
-        that only accept scalars are mapped point by point.
+        A callable gets the whole node array at once; values of any shape
+        other than the nodes' raise ValueError.
         """
-        if callable(f):
-            try:
-                values = np.asarray(f(self.nodes), dtype=complex)
-                if values.shape != self.nodes.shape:
-                    raise TypeError
-            except TypeError:
-                values = np.array([f(w) for w in self.nodes], dtype=complex)
-        else:
-            values = np.asarray(f, dtype=complex)
+        values = np.asarray(f(self.nodes) if callable(f) else f, dtype=complex)
+        if values.shape != self.nodes.shape:
+            raise ValueError(f"integrand has shape {values.shape}, nodes have"
+                             f" shape {self.nodes.shape}")
         return complex(np.dot(self.weights, values))
 
     def rule_moment(self, a: int, b: int) -> complex:
@@ -125,11 +120,6 @@ def build_rule(n_radial: int = DEFAULT_N_RADIAL,
     t = 0.5 * (x + 1.0)
     return DiskQuadrature(radial_r=np.sqrt(t), radial_w=0.5 * w,
                           n_angular=n_angular)
-
-
-def integrate(rule: DiskQuadrature, f) -> complex:
-    """Module-level alias for :meth:`DiskQuadrature.integrate`."""
-    return rule.integrate(f)
 
 
 def check_rule_for_degree(rule: DiskQuadrature, degree: int,

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diskgeom import DiskPoint, disk_value, mobius_eval
+from .diskgeom import DiskPoint, disk_value
 
 # Coefficients with modulus at or below this (relative to the symbol's
 # largest coefficient) are treated as zero by the harmonicity tests;
@@ -209,21 +209,32 @@ class MonomialSymbol:
         return total
 
     def evaluate_array(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        total = np.zeros_like(w)
-        for (j, k), c in self._coeffs.items():
-            total += c * w ** j * np.conj(w) ** k
-        return total
+        """u at every entry of ``w`` by nested Horner, with no complex power.
 
-    def evaluate_at_mobius(self, z, w) -> complex:
-        """u(phi_z(w)): the composed symbol as a pointwise value.
-
-        The composition is rational rather than polynomial, so it never
-        becomes a MonomialSymbol; operators with composed symbols go
-        through the covariance or quadrature routes instead.
+        Each row sum_j c_jk w^j runs through Horner in w in one reused
+        accumulator, and total = total * conj(w) + row_k combines the rows
+        from the top conj(w) degree k down.  Three work arrays serve any
+        number of terms; ``w`` is never written to.
         """
-        return self.evaluate(mobius_eval(z, w))
-
+        w = np.asarray(w, dtype=complex)
+        rows = {}
+        for (j, k), c in self._coeffs.items():
+            rows.setdefault(k, {})[j] = c
+        total = np.zeros_like(w)
+        acc, wbar = np.empty_like(w), np.conj(w)
+        for k in range(self.deg_zbar, -1, -1):
+            row = rows.get(k)
+            if row:
+                top = max(row)
+                acc.fill(row[top])
+                for j in range(top - 1, -1, -1):
+                    acc *= w
+                    if j in row:
+                        acc += row[j]
+                total += acc
+            if k:
+                total *= wbar
+        return total
 
     def compose_mobius_evaluator(self, z):
         """Vectorized pointwise evaluator for u(phi_z(.))."""

@@ -48,10 +48,17 @@ class TestBuildRule:
 
 
 class TestIntegrate:
-    def test_scalar_evaluator_fallback(self, default_rule):
-        # complex() rejects the node array, forcing the point-by-point path
-        got = default_rule.integrate(lambda w: abs(complex(w)) ** 2)
-        assert got == pytest.approx(0.5, abs=1e-13)
+    def test_scalar_only_evaluator_raises(self, default_rule):
+        # complex() rejects the node array; no point-by-point retry hides it
+        with pytest.raises(TypeError):
+            default_rule.integrate(lambda w: abs(complex(w)) ** 2)
+
+    def test_wrong_shape_evaluator_raises(self, default_rule):
+        grid = (default_rule.n_radial, default_rule.n_angular)
+        with pytest.raises(ValueError, match=r"\(80, 256\).*\(20480,\)"):
+            default_rule.integrate(lambda w: np.abs(w.reshape(grid)) ** 2)
+        with pytest.raises(ValueError, match=r"\(\).*\(20480,\)"):
+            default_rule.integrate(lambda w: 0.5)
 
     def test_accepts_precomputed_values(self, default_rule):
         values = np.abs(default_rule.nodes) ** 2

@@ -102,10 +102,94 @@ class TestHarmonicity:
     def test_evaluate_at_mobius(self):
         from berezinlab.diskgeom import mobius_eval
         z, w = 0.4 - 0.2j, 0.3j
-        assert W.evaluate_at_mobius(z, w) == pytest.approx(mobius_eval(z, w))
-        assert MonomialSymbol.constant(1.0).evaluate_at_mobius(z, w) == pytest.approx(1.0)
+
+        def at_mobius(u, z):
+            return u.compose_mobius_evaluator(z)(np.array([w]))[0]
+
+        assert at_mobius(W, z) == pytest.approx(mobius_eval(z, w))
+        assert at_mobius(MonomialSymbol.constant(1.0), z) == pytest.approx(1.0)
         u = MonomialSymbol({(2, 1): 1 - 1j, (0, 1): 2.0})
-        assert u.evaluate_at_mobius(0.0, w) == pytest.approx(u.evaluate(-w))
+        assert at_mobius(u, 0.0) == pytest.approx(u.evaluate(-w))
+
+
+def _random_symbol(rng, max_degree, n_terms):
+    table = {}
+    for _ in range(n_terms):
+        j = int(rng.integers(0, max_degree + 1))
+        k = int(rng.integers(0, max_degree - j + 1))
+        table[(j, k)] = complex(*rng.uniform(-1, 1, 2))
+    return MonomialSymbol(table)
+
+
+def _phi(z, w):
+    return (z - w) / (1.0 - np.conj(z) * w)
+
+
+class TestEvaluateArray:
+    """Nested-Horner evaluation against a high-precision and a term-by-term reference."""
+
+    def test_matches_mpmath_reference(self, default_rule):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(21)
+        symbols = [_random_symbol(rng, max_degree=12, n_terms=8) for _ in range(4)]
+        nodes = default_rule.nodes[::97]   # two or three nodes on every ring
+        for points in [nodes] + [_phi(z, nodes) for z in (0.9, -0.5 + 0.6j, 0.3j)]:
+            with mpmath.workdps(40):
+                powers = []   # (w^n, conj(w)^n) for n <= 12, per point
+                for p in points:
+                    w = mpmath.mpc(p.real, p.imag)
+                    powers.append(([w ** n for n in range(13)],
+                                   [mpmath.conj(w) ** n for n in range(13)]))
+                for u in symbols:
+                    terms = [(j, k, mpmath.mpc(c.real, c.imag))
+                             for (j, k), c in u.coeffs.items()]
+                    want = np.array([complex(mpmath.fsum(c * pw[j] * pwbar[k]
+                                                         for j, k, c in terms))
+                                     for pw, pwbar in powers])
+                    bound = 1e-14 * sum(abs(c) for c in u.coeffs.values())
+                    assert np.max(np.abs(u.evaluate_array(points) - want)) < bound
+
+    @pytest.mark.parametrize("coeffs", [
+        {},                                        # zero symbol
+        {(0, 0): 2.5 - 1j},                        # constant
+        {(0, 3): 2.0, (0, 1): -1j, (0, 0): 0.5},   # conjugate analytic
+        {(5, 0): 1.0, (0, 4): -2j, (2, 3): 0.75},  # sparse rows with gaps
+    ])
+    def test_edge_cases_match_term_by_term(self, coeffs):
+        rng = np.random.default_rng(22)
+        w = 0.99 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        want = np.zeros_like(w)
+        for (j, k), c in coeffs.items():
+            want += c * w ** j * np.conj(w) ** k
+        assert np.max(np.abs(MonomialSymbol(coeffs).evaluate_array(w) - want)) < 1e-14
+
+    def test_preserves_shape_and_dtype(self, default_rule):
+        u = MonomialSymbol({(3, 1): 1 + 1j, (0, 2): -0.5, (0, 0): 2.0})
+        grid = default_rule.node_grid()
+        out = u.evaluate_array(grid)
+        assert out.shape == grid.shape and out.dtype == np.complex128
+        assert np.array_equal(out.ravel(), u.evaluate_array(default_rule.nodes))
+        point = np.asarray(0.3 - 0.4j)
+        out = u.evaluate_array(point)
+        assert out.shape == () and out.dtype == np.complex128
+        assert complex(out) == pytest.approx(u.evaluate(0.3 - 0.4j), abs=1e-14)
+        assert MonomialSymbol({}).evaluate_array(point).shape == ()
+
+    def test_leaves_input_unmodified(self, default_rule):
+        u = MonomialSymbol({(4, 2): 1 - 1j, (1, 0): 3.0, (0, 3): 0.25j})
+        w = default_rule.nodes.copy()
+        out = u.evaluate_array(w)
+        assert np.array_equal(w, default_rule.nodes)
+        assert not np.shares_memory(out, w)
+
+    def test_agrees_with_scalar_evaluate(self):
+        rng = np.random.default_rng(23)
+        pts = 0.999 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+        for _ in range(10):
+            u = _random_symbol(rng, max_degree=12, n_terms=6)
+            got = u.evaluate_array(pts)
+            want = np.array([u.evaluate(p) for p in pts])
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestClassifier:
