@@ -44,8 +44,8 @@ class StencilOutOfDiskError(DiskDomainError):
 class BerezinConfig:
     """Shared numerical policy for the transform routes.
 
-    fd_step is the relative step h0 in h = h0 * (1 - |z|); Richardson
-    extrapolation of the five-point Laplacian is off by default.
+    fd_step is the relative step h0 in h = h0 * (1 - |z|) of the
+    five-point Laplacian.
     """
 
     truncation: int = 64
@@ -53,7 +53,6 @@ class BerezinConfig:
     n_radial: int = 80
     n_angular: int = 256
     fd_step: float = 1e-3
-    richardson: bool = False
     reliability_tol: float = 1e-6
 
     def __post_init__(self):
@@ -276,20 +275,13 @@ def laplacian_fd(fieldfn, z, config: BerezinConfig = DEFAULT_CONFIG) -> complex:
     """Five-point Laplacian with step h = fd_step * (1 - |z|)."""
     zv = disk_value(z)
     h = config.fd_step * (1.0 - abs(zv))
-
-    def stencil(step):
-        pts = (zv + step, zv - step, zv + 1j * step, zv - 1j * step)
-        for p in pts:
-            if abs(p) > DISK_RADIUS_MAX:
-                raise StencilOutOfDiskError(
-                    f"stencil point {p!r} leaves the disk (|z|={abs(zv):.6f}, h={step:.2e})")
-        vals = [complex(fieldfn(p)) for p in pts]
-        return (sum(vals) - 4.0 * complex(fieldfn(zv))) / step ** 2
-
-    lap = stencil(h)
-    if config.richardson:
-        lap = (4.0 * stencil(h / 2.0) - lap) / 3.0
-    return lap
+    pts = (zv + h, zv - h, zv + 1j * h, zv - 1j * h)
+    for p in pts:
+        if abs(p) > DISK_RADIUS_MAX:
+            raise StencilOutOfDiskError(
+                f"stencil point {p!r} leaves the disk (|z|={abs(zv):.6f}, h={h:.2e})")
+    vals = [complex(fieldfn(p)) for p in pts]
+    return (sum(vals) - 4.0 * complex(fieldfn(zv))) / h ** 2
 
 
 def laplacian_berezin_at_zero_operator(op: TruncatedOperator) -> complex:

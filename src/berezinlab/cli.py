@@ -82,11 +82,17 @@ def _config_from(args) -> bz.BerezinConfig:
                             n_radial=args.nr, n_angular=args.ntheta)
 
 
-def _config_dict(cfg: bz.BerezinConfig, args) -> dict:
-    return {"truncation": cfg.truncation, "series_tol": cfg.series_tol,
-            "n_radial": cfg.n_radial, "n_angular": cfg.n_angular,
-            "fd_step": cfg.fd_step, "reliability_tol": cfg.reliability_tol,
-            "strict": bool(args.strict), "format": args.format}
+def _dump_config(args, cfg: bz.BerezinConfig | None = None) -> dict:
+    """The configuration a report embeds; ``cfg`` adds its fd and reliability policy.
+
+    Matrix dumps pass no ``cfg``: they allow any dim >= 1, below the
+    BerezinConfig floor.
+    """
+    config = {"truncation": args.trunc, "n_radial": args.nr, "n_angular": args.ntheta,
+              "series_tol": args.tol, "strict": bool(args.strict), "format": args.format}
+    if cfg is not None:
+        config.update(fd_step=cfg.fd_step, reliability_tol=cfg.reliability_tol)
+    return config
 
 
 def _parse_z_list(text: str):
@@ -152,17 +158,10 @@ def cmd_berezin(args) -> int:
     payload = {"inputs": {"command": "berezin", "symbol": symbol.to_string(),
                           "z": [[z.real, z.imag] for z in zs],
                           "routes": list(routes)},
-               "config": _config_dict(cfg, args),
+               "config": _dump_config(args, cfg),
                "results": results}
     _emit(payload, rows, ("z_re", "z_im", "route", "value_re", "value_im", "flag"), args)
     return EXIT_RELIABILITY if (args.strict and flagged) else EXIT_OK
-
-
-def _dump_config(args) -> dict:
-    # matrix dumps allow any dim >= 1, below the BerezinConfig floor
-    return {"truncation": args.trunc, "n_radial": args.nr, "n_angular": args.ntheta,
-            "series_tol": args.tol, "strict": bool(args.strict),
-            "format": args.format}
 
 
 def cmd_toeplitz(args) -> int:
@@ -203,7 +202,7 @@ def cmd_identity_suite(args) -> int:
     rows = [(r.battery, "pass" if r.passed else "FAIL", r.max_residual,
              r.tolerance, r.description) for r in results]
     payload = {"inputs": {"command": "identity-suite", "only": args.only},
-               "config": _config_dict(cfg, args),
+               "config": _dump_config(args, cfg),
                "results": [{"battery": r.battery, "passed": r.passed,
                             "max_residual": r.max_residual, "tolerance": r.tolerance,
                             "description": r.description, "details": r.details}
@@ -251,7 +250,7 @@ def cmd_commutator(args) -> int:
         threshold=args.threshold, pad=args.pad)
 
     payload = {"inputs": {"command": "commutator", **report.inputs},
-               "config": {**_config_dict(cfg, args), **report.config},
+               "config": {**_dump_config(args, cfg), **report.config},
                "profiles": [_profile_payload(report.deriv_profile),
                             _profile_payload(report.berezin_profile)],
                "zero_samples": [{"zero": [a.real, a.imag],
@@ -310,7 +309,7 @@ def cmd_decay(args) -> int:
                                label=fieldfn.label)
     payload = {"inputs": {"command": "decay", "field": args.field,
                           "symbol": args.symbol, "factors": args.factor},
-               "config": _config_dict(cfg, args),
+               "config": _dump_config(args, cfg),
                "profiles": [_profile_payload(profile)],
                "residuals": {"final_magnitude": float(profile.magnitudes()[-1])},
                "verdict": ""}

@@ -100,16 +100,6 @@ class DiskQuadrature:
             return 0j
         return complex(np.dot(self.radial_w, self.radial_r ** (a + b)))
 
-    def moment_residual(self, degree: int) -> float:
-        """Worst moment error over exponents a, b <= degree."""
-        worst = 0.0
-        for a in range(degree + 1):
-            for b in range(degree + 1):
-                err = abs(self.rule_moment(a, b) - monomial_moment(a, b))
-                if err > worst:
-                    worst = err
-        return worst
-
 
 def build_rule(n_radial: int = DEFAULT_N_RADIAL,
                n_angular: int = DEFAULT_N_ANGULAR) -> DiskQuadrature:

@@ -2,11 +2,14 @@
 
 Each battery checks one family of identities at pinned tolerances and
 reports its worst residual.  Batteries draw their random inputs from
-fixed seeds so suite output is reproducible run to run.
+fixed seeds so suite output is reproducible run to run.  The acceptance
+gate draws its inputs and shared identities from this module, so each
+identity check is coded once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +32,31 @@ class BatteryResult:
     details: dict
 
 
-def _result(name, description, residual, tolerance, passed=None, **details):
-    if passed is None:
-        passed = residual <= tolerance
-    return BatteryResult(name, description, bool(passed), float(residual),
-                         float(tolerance), details)
+BATTERIES = {}
 
 
-def _random_symbol(rng, max_degree=6, n_terms=6, scale=1.0,
-                   harmonic=False, analytic=False, integer=False) -> MonomialSymbol:
+def battery(name: str, description: str, tolerance: float):
+    """Register ``check(cfg)`` as battery ``name``; registration order is report order.
+
+    ``check`` returns its worst residual, or ``(residual, details, ok)``
+    when the report carries details or passing needs the extra
+    condition ``ok`` besides ``residual <= tolerance``.
+    """
+    def register(check):
+        @functools.wraps(check)
+        def run(cfg) -> BatteryResult:
+            out = check(cfg)
+            residual, details, ok = out if isinstance(out, tuple) else (out, {}, True)
+            return BatteryResult(name, description, bool(ok and residual <= tolerance),
+                                 float(residual), float(tolerance), details)
+        BATTERIES[name] = run
+        return run
+    return register
+
+
+def random_symbol(rng, max_degree=6, n_terms=6, scale=1.0,
+                  harmonic=False, analytic=False, integer=False) -> MonomialSymbol:
+    """A seeded polynomial symbol of n_terms draws of degree <= max_degree."""
     table = {}
     for _ in range(n_terms):
         j = int(rng.integers(0, max_degree + 1))
@@ -53,7 +72,8 @@ def _random_symbol(rng, max_degree=6, n_terms=6, scale=1.0,
     return sym if not sym.is_zero() else MonomialSymbol.constant(1.0)
 
 
-def _sample_points(rng, count, r_max):
+def sample_points(rng, count, r_max):
+    """count points uniform in area on the disk |z| <= r_max."""
     r = r_max * np.sqrt(rng.uniform(0.0, 1.0, count))
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     return r * np.exp(1j * theta)
@@ -69,74 +89,78 @@ def _coeff_residual(a: MonomialSymbol, b: MonomialSymbol) -> float:
 # disk geometry
 # ---------------------------------------------------------------------------
 
+@battery("mobius-involution", "phi_z is its own compositional inverse", 1e-12)
 def battery_mobius_involution(cfg):
     rng = np.random.default_rng(101)
     worst = 0.0
-    for z, w in zip(_sample_points(rng, 200, 0.95), _sample_points(rng, 200, 0.95)):
+    for z, w in zip(sample_points(rng, 200, 0.95), sample_points(rng, 200, 0.95)):
         worst = max(worst, abs(mobius_eval(z, mobius_eval(z, w)) - w))
-    return _result("mobius-involution",
-                   "phi_z is its own compositional inverse", worst, 1e-12)
+    return worst
 
 
+@battery("mobius-modulus-identity",
+         "(1-|phi_z(w)|^2) factors through the kernel denominator", 1e-12)
 def battery_mobius_modulus(cfg):
     rng = np.random.default_rng(102)
     worst = 0.0
-    for z, w in zip(_sample_points(rng, 200, 0.95), _sample_points(rng, 200, 0.95)):
+    for z, w in zip(sample_points(rng, 200, 0.95), sample_points(rng, 200, 0.95)):
         lhs = 1.0 - abs(mobius_eval(z, w)) ** 2
         rhs = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2) / abs(1.0 - z.conjugate() * w) ** 2
         worst = max(worst, abs(lhs - rhs))
-    return _result("mobius-modulus-identity",
-                   "(1-|phi_z(w)|^2) factors through the kernel denominator",
-                   worst, 1e-12)
+    return worst
 
 
+@battery("kernel-reproducing",
+         "integrating p against conj(K_z) evaluates p at z", 1e-10)
 def battery_kernel_reproducing(cfg):
     rng = np.random.default_rng(103)
     rule = cfg.rule()
     worst = 0.0
     for _ in range(6):
-        p = _random_symbol(rng, max_degree=10, n_terms=6, analytic=True)
-        for z in _sample_points(rng, 8, 0.8):
+        p = random_symbol(rng, max_degree=10, n_terms=6, analytic=True)
+        for z in sample_points(rng, 8, 0.8):
             integrand = p.evaluate_array(rule.nodes) * np.conj(
                 1.0 / (1.0 - z.conjugate() * rule.nodes) ** 2)
             got = rule.integrate(integrand)
             worst = max(worst, abs(got - p.evaluate(z)))
-    return _result("kernel-reproducing",
-                   "integrating p against conj(K_z) evaluates p at z", worst, 1e-10)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # symbol calculus
 # ---------------------------------------------------------------------------
 
+@battery("symbol-calculus",
+         "Leibniz rule, linearity, and the harmonic product Laplacian", 1e-12)
 def battery_symbol_calculus(cfg):
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(25):
-        a = _random_symbol(rng, max_degree=5, integer=True)
-        b = _random_symbol(rng, max_degree=5, integer=True)
+        a = random_symbol(rng, max_degree=5, integer=True)
+        b = random_symbol(rng, max_degree=5, integer=True)
         worst = max(worst, _coeff_residual((a * b).dz(), a.dz() * b + a * b.dz()))
         worst = max(worst, _coeff_residual((a * b).dzbar(), a.dzbar() * b + a * b.dzbar()))
         worst = max(worst, _coeff_residual((a + b).laplacian(),
                                            a.laplacian() + b.laplacian()))
         worst = max(worst, _coeff_residual(a.conjugate().conjugate(), a))
     for _ in range(25):
-        u = _random_symbol(rng, max_degree=5, harmonic=True, integer=True)
-        v = _random_symbol(rng, max_degree=5, harmonic=True, integer=True)
+        u = random_symbol(rng, max_degree=5, harmonic=True, integer=True)
+        v = random_symbol(rng, max_degree=5, harmonic=True, integer=True)
         expected = 4.0 * (u.dzbar() * v.dz() + u.dz() * v.dzbar())
         worst = max(worst, _coeff_residual((u * v).laplacian(), expected))
-    return _result("symbol-calculus",
-                   "Leibniz rule, linearity, and the harmonic product Laplacian",
-                   worst, 1e-12)
+    return worst
 
 
+@battery("harmonic-product-classifier",
+         "classification agrees with the exact Laplacian and witnesses"
+         " solve the matched-derivative equations", 1e-10)
 def battery_harmonic_classifier(cfg):
     rng = np.random.default_rng(105)
     worst = 0.0
     matched = 0
     for _ in range(40):
-        u = _random_symbol(rng, max_degree=4, harmonic=True, integer=True)
-        v = _random_symbol(rng, max_degree=4, harmonic=True, integer=True)
+        u = random_symbol(rng, max_degree=4, harmonic=True, integer=True)
+        v = random_symbol(rng, max_degree=4, harmonic=True, integer=True)
         outcome = classify_harmonic_product(u, v)
         lap_zero = (u * v).laplacian().is_zero()
         if (outcome.kind != HarmonicProductKind.NOT_HARMONIC) != lap_zero:
@@ -146,10 +170,7 @@ def battery_harmonic_classifier(cfg):
             worst = max(worst, _coeff_residual(a * u.dzbar(), (-b) * v.dzbar()))
             worst = max(worst, _coeff_residual(a * u.dz(), b * v.dz()))
             matched += 1
-    return _result("harmonic-product-classifier",
-                   "classification agrees with the exact Laplacian and witnesses"
-                   " solve the matched-derivative equations", worst, 1e-10,
-                   matched_cases=matched)
+    return worst, {"matched_cases": matched}, True
 
 
 # ---------------------------------------------------------------------------
@@ -166,71 +187,92 @@ def measured_moment_table(rule, degree: int) -> np.ndarray:
     return weighted @ powers.conj().T
 
 
+@battery("moment-oracle",
+         "default rule reproduces all monomial moments to degree 40", 1e-13)
 def battery_moment_oracle(cfg):
-    rule = cfg.rule()
     degree = 40
-    table = measured_moment_table(rule, degree)
+    table = measured_moment_table(cfg.rule(), degree)
     exact = np.zeros_like(table)
     for a in range(degree + 1):
         exact[a, a] = monomial_moment(a, a)
-    worst = float(np.max(np.abs(table - exact)))
-    return _result("moment-oracle",
-                   "default rule reproduces all monomial moments to degree 40",
-                   worst, 1e-13)
+    return float(np.max(np.abs(table - exact)))
 
 
+@battery("rule-doubling-stability",
+         "doubling both rule sizes moves polynomial integrals below 1e-10", 1e-10)
 def battery_rule_doubling(cfg):
     rng = np.random.default_rng(106)
     rule = cfg.rule()
     doubled = build_rule(2 * rule.n_radial, 2 * rule.n_angular)
     worst = 0.0
     for _ in range(8):
-        f = _random_symbol(rng, max_degree=12, n_terms=10)
+        f = random_symbol(rng, max_degree=12, n_terms=10)
         worst = max(worst, abs(rule.integrate(f.evaluate_array)
                                - doubled.integrate(f.evaluate_array)))
-    return _result("rule-doubling-stability",
-                   "doubling both rule sizes moves polynomial integrals below 1e-10",
-                   worst, 1e-10)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
+def composed_block(u: MonomialSymbol, z, rule, block: int) -> TruncatedOperator:
+    """T_{u o phi_z} on the leading block, by quadrature (never touches U_z)."""
+    return toeplitz_quadrature(u.compose_mobius_evaluator(z), block, rule, warn=False)
+
+
+def plain_compression_residuals(u: MonomialSymbol, z, dims, rule,
+                                block: int) -> list[float]:
+    """Leading-block residual of plain U_z T_u U_z against ``composed_block``.
+
+    One residual per dim; each multiplies three dim x dim truncations.
+    """
+    rhs = composed_block(u, z, rule, block)
+    residuals = []
+    for dim in dims:
+        uz = unitary_uz(z, dim)
+        lhs = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
+        residuals.append((lhs - rhs).norm_fro())
+    return residuals
+
+
+@battery("toeplitz-linearity-adjoint",
+         "symbol linearity and conjugation-adjoint correspondence", 1e-13)
 def battery_toeplitz_structure(cfg):
     rng = np.random.default_rng(107)
     dim = cfg.truncation
     worst = 0.0
     for _ in range(10):
-        u = _random_symbol(rng, max_degree=5)
-        v = _random_symbol(rng, max_degree=5)
+        u = random_symbol(rng, max_degree=5)
+        v = random_symbol(rng, max_degree=5)
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         lin = toeplitz_exact(alpha * u + v, dim).matrix
         combo = alpha * toeplitz_exact(u, dim).matrix + toeplitz_exact(v, dim).matrix
         worst = max(worst, float(np.max(np.abs(lin - combo))))
         adj = toeplitz_exact(u.conjugate(), dim).matrix
         worst = max(worst, float(np.max(np.abs(adj - toeplitz_exact(u, dim).matrix.conj().T))))
-    return _result("toeplitz-linearity-adjoint",
-                   "symbol linearity and conjugation-adjoint correspondence",
-                   worst, 1e-13)
+    return worst
 
 
+@battery("toeplitz-norm-contractivity",
+         "truncated Toeplitz norm stays below the symbol sup on nodes", 1e-6)
 def battery_toeplitz_contractivity(cfg):
     rng = np.random.default_rng(108)
     dim = cfg.truncation
     rule = cfg.rule()
     syms = [MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1),
             MonomialSymbol.monomial(1, 1), MonomialSymbol.constant(1.0)]
-    syms += [_random_symbol(rng, max_degree=4) for _ in range(4)]
+    syms += [random_symbol(rng, max_degree=4) for _ in range(4)]
     worst = 0.0
     for u in syms:
         sup = float(np.max(np.abs(u.evaluate_array(rule.nodes))))
         worst = max(worst, toeplitz_exact(u, dim).norm_op() - sup)
-    return _result("toeplitz-norm-contractivity",
-                   "truncated Toeplitz norm stays below the symbol sup on nodes",
-                   worst, 1e-6)
+    return worst
 
 
+@battery("covariance-residual-decay",
+         "conjugation route converges to the composed-symbol operator"
+         " on a fixed block as the truncation doubles", 1e-6)
 def battery_covariance_decay(cfg):
     """Conjugation route vs the true composed-symbol block, N doubling.
 
@@ -242,27 +284,19 @@ def battery_covariance_decay(cfg):
             MonomialSymbol.monomial(1, 1)]
     zs = [0.5, 0.7, -0.35 + 0.35j]
     rule = build_rule(160, 640)
-    dims = (32, 64, 128)
-    block = 16
     worst_final = 0.0
     monotone = True
     for u in syms:
         for z in zs:
-            rhs = toeplitz_quadrature(u.compose_mobius_evaluator(z), block, rule,
-                                      degree_hint=u.total_degree, warn=False)
-            residuals = []
-            for dim in dims:
-                uz = unitary_uz(z, dim)
-                lhs = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
-                residuals.append((lhs - rhs).norm_fro())
+            residuals = plain_compression_residuals(u, z, (32, 64, 128), rule, 16)
             monotone = monotone and residuals[0] > residuals[1] > residuals[2]
             worst_final = max(worst_final, residuals[-1])
-    return _result("covariance-residual-decay",
-                   "conjugation route converges to the composed-symbol operator"
-                   " on a fixed block as the truncation doubles", worst_final, 1e-6,
-                   passed=monotone and worst_final <= 1e-6, monotone=monotone)
+    return worst_final, {"monotone": monotone}, monotone
 
 
+@battery("unitary-orthonormality",
+         "truncated U_z is self-adjoint, sends 1 to -k_z, and is"
+         " orthonormal and involutive on its faithful blocks", 1e-8)
 def battery_unitary_orthonormality(cfg):
     """Orthonormality and involution of U_z on its faithful blocks.
 
@@ -283,88 +317,91 @@ def battery_unitary_orthonormality(cfg):
         hermitian = max(hermitian, float(np.max(np.abs(u.matrix - u.matrix.conj().T))))
         kz = bz.kernel_coefficients(z, dim)
         worst = max(worst, float(np.max(np.abs(u.matrix[:, 0] + kz))))
-    return _result("unitary-orthonormality",
-                   "truncated U_z is self-adjoint, sends 1 to -k_z, and is"
-                   " orthonormal and involutive on its faithful blocks",
-                   worst, 1e-8,
-                   passed=worst <= 1e-8 and hermitian <= 1e-10,
-                   hermitian_residual=hermitian)
+    return worst, {"hermitian_residual": hermitian}, hermitian <= 1e-10
 
 
 # ---------------------------------------------------------------------------
 # transform routes
 # ---------------------------------------------------------------------------
 
+def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points, dim: int,
+                            series_tol: float = 1e-12) -> float:
+    """Worst |(uv)~ - uv - (T_uv - T_u T_v)~| over points, at truncation dim."""
+    defect = semicommutator_defect(u, v, dim)
+    worst = 0.0
+    for z in points:
+        lhs = bz.berezin_symbol_series(u * v, z, series_tol) - u.evaluate(z) * v.evaluate(z)
+        worst = max(worst, abs(lhs - bz.berezin_operator(defect, z)))
+    return worst
+
+
+@battery("route-agreement",
+         "series, exact, quadrature, mean-value and operator routes agree", 1e-6)
 def battery_route_agreement(cfg):
     rng = np.random.default_rng(109)
     rule = cfg.rule()
     vs_quad = vs_op = vs_exact = vs_mean = 0.0
     for _ in range(10):
-        u = _random_symbol(rng, max_degree=6)
+        u = random_symbol(rng, max_degree=6)
         op = toeplitz_exact(u, cfg.truncation)
-        for z in _sample_points(rng, 6, 0.8):
+        for z in sample_points(rng, 6, 0.8):
             series = bz.berezin_symbol_series(u, z, cfg.series_tol)
             vs_quad = max(vs_quad, abs(series - bz.berezin_symbol_quadrature(u, z, rule)))
             vs_op = max(vs_op, abs(series - bz.berezin_operator(op, z)))
             vs_exact = max(vs_exact, abs(series - bz.berezin_symbol_exact(u, z)))
             vs_mean = max(vs_mean, abs(series - bz.mean_value_transform(u, z, rule)))
-    passed = (vs_quad <= 1e-8 and vs_mean <= 1e-8 and vs_exact <= 1e-10
-              and vs_op <= 1e-6)
-    return _result("route-agreement",
-                   "series, exact, quadrature, mean-value and operator routes agree",
-                   max(vs_quad, vs_op, vs_exact, vs_mean), 1e-6, passed=passed,
-                   series_vs_quadrature=vs_quad, series_vs_operator=vs_op,
-                   series_vs_exact=vs_exact, series_vs_meanvalue=vs_mean)
+    ok = vs_quad <= 1e-8 and vs_mean <= 1e-8 and vs_exact <= 1e-10 and vs_op <= 1e-6
+    return (max(vs_quad, vs_op, vs_exact, vs_mean),
+            {"series_vs_quadrature": vs_quad, "series_vs_operator": vs_op,
+             "series_vs_exact": vs_exact, "series_vs_meanvalue": vs_mean}, ok)
 
 
+@battery("harmonic-fixed-point", "harmonic symbols are fixed by the transform", 1e-8)
 def battery_harmonic_fixed_point(cfg):
     rng = np.random.default_rng(110)
     worst = 0.0
     for _ in range(10):
-        u = _random_symbol(rng, max_degree=6, harmonic=True)
-        for z in _sample_points(rng, 10, 0.9):
+        u = random_symbol(rng, max_degree=6, harmonic=True)
+        for z in sample_points(rng, 10, 0.9):
             worst = max(worst, abs(bz.berezin_symbol_series(u, z, cfg.series_tol)
                                    - u.evaluate(z)))
-    return _result("harmonic-fixed-point",
-                   "harmonic symbols are fixed by the transform", worst, 1e-8)
+    return worst
 
 
+@battery("positivity-contractivity",
+         "nonnegative symbols keep nonnegative, sup-bounded transforms", 1e-10)
 def battery_positivity_contractivity(cfg):
     rng = np.random.default_rng(111)
     rule = cfg.rule()
     worst = 0.0
     for _ in range(6):
-        p = _random_symbol(rng, max_degree=3, analytic=True)
+        p = random_symbol(rng, max_degree=3, analytic=True)
         u = p * p.conjugate()
         sup = float(np.max(np.abs(u.evaluate_array(rule.nodes))))
-        for z in _sample_points(rng, 8, 0.85):
+        for z in sample_points(rng, 8, 0.85):
             val = bz.berezin_symbol_series(u, z, cfg.series_tol)
             worst = max(worst, -val.real, abs(val.imag))
             worst = max(worst, abs(val) - sup - 1e-8)
-    return _result("positivity-contractivity",
-                   "nonnegative symbols keep nonnegative, sup-bounded transforms",
-                   worst, 1e-10)
+    return worst
 
 
+@battery("semicommutator-identity",
+         "(uv)~ - uv equals the transform of the semicommutator defect", 1e-6)
 def battery_semicommutator_identity(cfg):
     rng = np.random.default_rng(112)
-    dim = cfg.truncation
     pairs = [(MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1))]
-    pairs += [(_random_symbol(rng, max_degree=4, harmonic=True),
-               _random_symbol(rng, max_degree=4, harmonic=True)) for _ in range(5)]
+    pairs += [(random_symbol(rng, max_degree=4, harmonic=True),
+               random_symbol(rng, max_degree=4, harmonic=True)) for _ in range(5)]
     worst = 0.0
     for u, v in pairs:
-        defect = semicommutator_defect(u, v, dim)
-        for z in _sample_points(rng, 6, 0.7):
-            lhs = bz.berezin_symbol_series(u * v, z, cfg.series_tol) \
-                - u.evaluate(z) * v.evaluate(z)
-            rhs = bz.berezin_operator(defect, z)
-            worst = max(worst, abs(lhs - rhs))
-    return _result("semicommutator-identity",
-                   "(uv)~ - uv equals the transform of the semicommutator defect",
-                   worst, 1e-6)
+        worst = max(worst, semicommutator_residual(
+            u, v, sample_points(rng, 6, 0.7), cfg.truncation, cfg.series_tol))
+    return worst
 
 
+@battery("product-factorization",
+         "transform of an operator product matches its conjugated"
+         " evaluation at the constants", 1e-6)
 def battery_product_factorization(cfg):
     rng = np.random.default_rng(113)
     base = [MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1),
@@ -373,32 +410,31 @@ def battery_product_factorization(cfg):
     for n in (1, 2, 3):
         for _ in range(4):
             symbols = [base[int(rng.integers(0, 3))] for _ in range(n)]
-            z = complex(_sample_points(rng, 1, 0.5)[0])
+            z = complex(sample_points(rng, 1, 0.5)[0])
             outcome = bz.berezin_of_product(symbols, z, cfg.truncation)
             worst = max(worst, outcome.residual)
-    return _result("product-factorization",
-                   "transform of an operator product matches its conjugated"
-                   " evaluation at the constants", worst, 1e-6)
+    return worst
 
 
+@battery("laplacian-consistency",
+         "operator, moment and finite-difference Laplacians agree at 0", 1e-5)
 def battery_laplacian_consistency(cfg):
     rng = np.random.default_rng(114)
     closed = 0.0
     fd = 0.0
     for _ in range(8):
-        u = _random_symbol(rng, max_degree=6, scale=0.5)
+        u = random_symbol(rng, max_degree=6, scale=0.5)
         op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, cfg.truncation))
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
         fd_route = bz.laplacian_fd(bz.berezin_series_field(u, cfg.series_tol), 0j, cfg)
         closed = max(closed, abs(op_route - sym_route))
         fd = max(fd, abs(sym_route - fd_route))
-    return _result("laplacian-consistency",
-                   "operator, moment and finite-difference Laplacians agree at 0",
-                   max(closed, fd), 1e-5,
-                   passed=closed <= 1e-10 and fd <= 1e-5,
-                   closed_forms=closed, finite_difference=fd)
+    return (max(closed, fd), {"closed_forms": closed, "finite_difference": fd},
+            closed <= 1e-10 and fd <= 1e-5)
 
 
+@battery("berezin-injectivity",
+         "least-squares inversion of transform samples recovers the matrix", 1e-4)
 def battery_injectivity(cfg):
     rng = np.random.default_rng(115)
     worst = 0.0
@@ -408,61 +444,34 @@ def battery_injectivity(cfg):
         op = TruncatedOperator(m)
         fitted = bz.fit_operator_from_berezin(bz.berezin_operator_field(op), 8)
         worst = max(worst, float(np.max(np.abs(fitted.matrix - m))))
-    return _result("berezin-injectivity",
-                   "least-squares inversion of transform samples recovers the matrix",
-                   worst, 1e-4)
+    return worst
 
 
+@battery("invariant-laplacian-integral",
+         "the averaged defect integral equals the invariant Laplacian"
+         " of the transform", 1e-5)
 def battery_invariant_laplacian_integral(cfg):
     rng = np.random.default_rng(116)
     rule = cfg.rule()
     worst = 0.0
     for _ in range(5):
-        u = _random_symbol(rng, max_degree=4, scale=0.5)
+        u = random_symbol(rng, max_degree=4, scale=0.5)
         field = bz.berezin_series_field(u, cfg.series_tol)
-        for z in _sample_points(rng, 4, 0.7):
+        for z in sample_points(rng, 4, 0.7):
             lhs = bz.harmonic_defect_integral(u, z, rule)
             rhs = bz.invariant_laplacian(field, z, cfg)
             worst = max(worst, abs(lhs - rhs))
-    return _result("invariant-laplacian-integral",
-                   "the averaged defect integral equals the invariant Laplacian"
-                   " of the transform", worst, 1e-5)
+    return worst
 
 
+@battery("covariance-field", "the transform field commutes with disk automorphisms", 1e-5)
 def battery_covariance_field(cfg):
     op = toeplitz_exact(MonomialSymbol.monomial(1, 1), cfg.truncation)
     check = bz.covariance_field_check(op, 0.3, 0.3, cfg)
     ident = bz.covariance_field_check(
         TruncatedOperator(np.eye(cfg.truncation)), 0.4 + 0.1j, 0.2j, cfg)
-    worst = max(check.value_residual, check.laplacian_residual,
-                ident.value_residual, ident.laplacian_residual)
-    return _result("covariance-field",
-                   "the transform field commutes with disk automorphisms",
-                   worst, 1e-5)
-
-
-BATTERIES = {
-    "mobius-involution": battery_mobius_involution,
-    "mobius-modulus-identity": battery_mobius_modulus,
-    "kernel-reproducing": battery_kernel_reproducing,
-    "symbol-calculus": battery_symbol_calculus,
-    "harmonic-product-classifier": battery_harmonic_classifier,
-    "moment-oracle": battery_moment_oracle,
-    "rule-doubling-stability": battery_rule_doubling,
-    "toeplitz-linearity-adjoint": battery_toeplitz_structure,
-    "toeplitz-norm-contractivity": battery_toeplitz_contractivity,
-    "covariance-residual-decay": battery_covariance_decay,
-    "unitary-orthonormality": battery_unitary_orthonormality,
-    "route-agreement": battery_route_agreement,
-    "harmonic-fixed-point": battery_harmonic_fixed_point,
-    "positivity-contractivity": battery_positivity_contractivity,
-    "semicommutator-identity": battery_semicommutator_identity,
-    "product-factorization": battery_product_factorization,
-    "laplacian-consistency": battery_laplacian_consistency,
-    "berezin-injectivity": battery_injectivity,
-    "invariant-laplacian-integral": battery_invariant_laplacian_integral,
-    "covariance-field": battery_covariance_field,
-}
+    return max(check.value_residual, check.laplacian_residual,
+               ident.value_residual, ident.laplacian_residual)
 
 
 def run_batteries(config: bz.BerezinConfig = bz.DEFAULT_CONFIG,

@@ -106,10 +106,6 @@ class MonomialSymbol:
         return dict(self._coeffs)
 
     @property
-    def deg_z(self) -> int:
-        return max((j for j, _ in self._coeffs), default=0)
-
-    @property
     def deg_zbar(self) -> int:
         return max((k for _, k in self._coeffs), default=0)
 

@@ -185,12 +185,6 @@ class TestLaplacians:
         with pytest.raises(bz.StencilOutOfDiskError):
             bz.laplacian_fd(lambda z: 0.0, 0.9, wide)
 
-    def test_richardson_variant(self):
-        cfg = bz.BerezinConfig(richardson=True)
-        got = bz.laplacian_fd(lambda z: (z * np.conj(z)) ** 2, 0.25, cfg)
-        # Delta |z|^4 = 16 |z|^2
-        assert got == pytest.approx(16 * 0.0625, abs=1e-7)
-
     def test_operator_form_identity(self):
         assert bz.laplacian_berezin_at_zero_operator(identity_operator(8)) == 0.0
 

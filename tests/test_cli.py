@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +254,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m berezinlab.cli`` goes through ``entrypoint`` and its sys.exit."""
+
+    @staticmethod
+    def run_module(args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "berezinlab.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_stdout_matches_in_process_run(self, capsys):
+        args = ["identity-suite", "--only", "moment-oracle", "--format", "csv"]
+        proc = self.run_module(args)
+        assert proc.returncode == 0, proc.stderr
+        assert run(args) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_usage_error_exits_two_without_traceback(self):
+        proc = self.run_module(["uz", "--z", "1.0", "--trunc", "4"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

@@ -78,9 +78,6 @@ class TestMomentFidelity:
             grid_val = default_rule.integrate(lambda w: w ** a * np.conj(w) ** b)
             assert default_rule.rule_moment(a, b) == pytest.approx(grid_val, abs=1e-14)
 
-    def test_default_rule_moment_residual(self, default_rule):
-        assert default_rule.moment_residual(40) < 1e-13
-
     def test_doubling_stability(self, default_rule):
         doubled = build_rule(2 * default_rule.n_radial, 2 * default_rule.n_angular)
         rng = np.random.default_rng(9)
