@@ -8,7 +8,7 @@ at desk scale.
 
 from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
                       DecayProfile, PathSpec, ProductBerezin, ProfileSample,
-                      ScalarField, StencilOutOfDiskError, berezin_of_product,
+                      StencilOutOfDiskError, berezin_of_product,
                       berezin_operator, berezin_symbol_exact,
                       berezin_symbol_quadrature, berezin_symbol_series,
                       commutator_compactness_indicator, covariance_field_check,

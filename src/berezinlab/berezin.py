@@ -1,16 +1,21 @@
 """Berezin transforms by independent routes, with boundary-decay tooling.
 
-Three routes to the same number:
+Five routes to the same number:
 
 * operator route: S~(z) = <S k_z, k_z> as a finite double sum over a
   truncated matrix, trusted while the geometric tail
-  (N+1) |z|^{2N} / (1-|z|^2)^2 stays below tolerance;
+  (N+1) |z|^{2N} / (1-|z|^2)^2 stays below RELIABILITY_TOL;
 * series route: for a monomial symbol w^j conj(w)^k with d = j-k >= 0,
   u~(z) = (1-|z|^2)^2 z^d sum_m (m+1)(m+d+1) |z|^{2m} / (j+m+1),
-  truncated when the geometric tail drops below tolerance (the exact
-  resummation of that series is also available, see
-  :func:`berezin_symbol_exact`);
-* quadrature route: u~(z) = integral of u |k_z|^2 dA.
+  truncated when the geometric tail drops below tolerance;
+* exact route: the closed-form resummation of that series, usable
+  arbitrarily close to the boundary;
+* quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
+  aliasing estimate stays within RELIABILITY_TOL;
+* mean-value route: u~(z) = integral of u o phi_z dA.
+
+The numerical policy every report shares is fixed here: FD_STEP for
+the five-point Laplacian and RELIABILITY_TOL for the reliability flags.
 
 Boundary behavior ("z -> boundary") is operationalized as sampling
 along in-disk radial or nontangential paths; nothing here claims to
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable
 
 import numpy as np
 
@@ -34,6 +38,10 @@ from .quadrature import DiskQuadrature, build_rule, monomial_moment
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
+# Relative step h0 of the five-point Laplacian, h = h0 * (1 - |z|).
+FD_STEP = 1e-3
+# Error bound at or beyond which a sample carries a reliability flag.
+RELIABILITY_TOL = 1e-6
 
 
 class StencilOutOfDiskError(DiskDomainError):
@@ -42,26 +50,18 @@ class StencilOutOfDiskError(DiskDomainError):
 
 @dataclass(frozen=True)
 class BerezinConfig:
-    """Shared numerical policy for the transform routes.
-
-    fd_step is the relative step h0 in h = h0 * (1 - |z|) of the
-    five-point Laplacian.
-    """
+    """Truncation, series tolerance and quadrature rule size of a run."""
 
     truncation: int = 64
     series_tol: float = 1e-12
     n_radial: int = 80
     n_angular: int = 256
-    fd_step: float = 1e-3
-    reliability_tol: float = 1e-6
 
     def __post_init__(self):
         if self.truncation < 8:
             raise ValueError("truncation must be at least 8")
-        if self.series_tol <= 0 or self.reliability_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if self.series_tol <= 0:
+            raise ValueError("series_tol must be positive")
 
     def rule(self) -> DiskQuadrature:
         return cached_rule(self.n_radial, self.n_angular)
@@ -98,33 +98,33 @@ def operator_tail_bound(dim: int, z) -> float:
     return (dim + 1) * r2 ** dim / (1.0 - r2) ** 2
 
 
-def operator_route_reliable(dim: int, z, tol: float) -> bool:
-    return operator_tail_bound(dim, z) < tol
+def operator_flag(dim: int, z) -> str:
+    """Flag "truncation-unreliable" unless the tail bound is below RELIABILITY_TOL."""
+    return "" if operator_tail_bound(dim, z) < RELIABILITY_TOL else "truncation-unreliable"
 
 
 # ---------------------------------------------------------------------------
 # series route
 # ---------------------------------------------------------------------------
 
-def berezin_symbol_series(u: MonomialSymbol, z, tol: float = 1e-12,
-                          max_terms: int = SERIES_MAX_TERMS) -> complex:
+def berezin_symbol_series(u: MonomialSymbol, z, tol: float = 1e-12) -> complex:
     """Berezin transform of a polynomial symbol by its power series.
 
     Linear over the symbol's terms; each monomial series is summed in
-    blocks until the remaining geometric tail is below ``tol``.
+    blocks until the remaining geometric tail is below ``tol``, or
+    fails after SERIES_MAX_TERMS terms.
     """
     zv = disk_value(z)
     t = abs(zv) ** 2
     total = 0j
     for (j, k), c in u.coeffs.items():
-        total += c * _monomial_series(j, k, zv, t, tol, max_terms)
+        total += c * _monomial_series(j, k, zv, t, tol)
     return total
 
 
-def _monomial_series(j: int, k: int, zv: complex, t: float,
-                     tol: float, max_terms: int) -> complex:
+def _monomial_series(j: int, k: int, zv: complex, t: float, tol: float) -> complex:
     if j < k:
-        return _monomial_series(k, j, zv, t, tol, max_terms).conjugate()
+        return _monomial_series(k, j, zv, t, tol).conjugate()
     d = j - k
     block = 512
     acc = 0.0
@@ -136,9 +136,9 @@ def _monomial_series(j: int, k: int, zv: complex, t: float,
         # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(j+m+1) <= 1
         if t ** m0 * (m0 * (1.0 - t) + 1.0) < tol:
             break
-        if m0 >= max_terms:
+        if m0 >= SERIES_MAX_TERMS:
             raise RuntimeError(
-                f"series route did not reach tol={tol} within {max_terms} terms "
+                f"series route did not reach tol={tol} within {SERIES_MAX_TERMS} terms "
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
     return (1.0 - t) ** 2 * zv ** d * acc
 
@@ -200,6 +200,13 @@ def quadrature_tail_estimate(rule: DiskQuadrature, z, symbol_degree: int = 0) ->
     mode = max(rule.n_angular - symbol_degree, 1)
     t = r * r
     return (1.0 - t) ** 2 * (mode / 2.0 + 1.0) ** 2 * r ** mode / (1.0 - r)
+
+
+def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
+    """Flag "quadrature-unreliable" when the aliasing estimate exceeds RELIABILITY_TOL."""
+    if quadrature_tail_estimate(rule, z, symbol_degree) > RELIABILITY_TOL:
+        return "quadrature-unreliable"
+    return ""
 
 
 def _as_evaluator(u):
@@ -271,10 +278,10 @@ def berezin_of_product(symbols, z, dim: int) -> ProductBerezin:
 # Laplacians
 # ---------------------------------------------------------------------------
 
-def laplacian_fd(fieldfn, z, config: BerezinConfig = DEFAULT_CONFIG) -> complex:
-    """Five-point Laplacian with step h = fd_step * (1 - |z|)."""
+def laplacian_fd(fieldfn, z) -> complex:
+    """Five-point Laplacian with step h = FD_STEP * (1 - |z|)."""
     zv = disk_value(z)
-    h = config.fd_step * (1.0 - abs(zv))
+    h = FD_STEP * (1.0 - abs(zv))
     pts = (zv + h, zv - h, zv + 1j * h, zv - 1j * h)
     for p in pts:
         if abs(p) > DISK_RADIUS_MAX:
@@ -303,10 +310,10 @@ def laplacian_berezin_at_zero_symbol(u: MonomialSymbol) -> complex:
     return 8.0 * total
 
 
-def invariant_laplacian(fieldfn, z, config: BerezinConfig = DEFAULT_CONFIG) -> complex:
+def invariant_laplacian(fieldfn, z) -> complex:
     """The Mobius-invariant quantity (1 - |z|^2)^2 (Delta f)(z)."""
     zv = disk_value(z)
-    return (1.0 - abs(zv) ** 2) ** 2 * laplacian_fd(fieldfn, zv, config)
+    return (1.0 - abs(zv) ** 2) ** 2 * laplacian_fd(fieldfn, zv)
 
 
 def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
@@ -346,24 +353,16 @@ def factored_harmonic_invariant_laplacian(factors, z) -> complex:
 # localization
 # ---------------------------------------------------------------------------
 
-def localization_norm(u: MonomialSymbol, z, tol: float = 1e-12,
-                      route: str = "series") -> float:
+def localization_norm(u: MonomialSymbol, z) -> float:
     """|| (u - u(z)) k_z ||_2 via the expanded transform identity.
 
-    The square expands to (|u|^2)~(z) - 2 Re(conj(u(z)) u~(z)) + |u(z)|^2;
-    both transforms go through the series route by default, or its exact
-    resummation with route="exact" (preferred very close to the boundary).
+    The square expands to (|u|^2)~(z) - 2 Re(conj(u(z)) u~(z)) + |u(z)|^2,
+    with both transforms by the exact route.
     """
     zv = disk_value(z)
     u_at = u.evaluate(zv)
-    if route == "exact":
-        mod2 = berezin_symbol_exact(u * u.conjugate(), zv)
-        u_tilde = berezin_symbol_exact(u, zv)
-    elif route == "series":
-        mod2 = berezin_symbol_series(u * u.conjugate(), zv, tol)
-        u_tilde = berezin_symbol_series(u, zv, tol)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    mod2 = berezin_symbol_exact(u * u.conjugate(), zv)
+    u_tilde = berezin_symbol_exact(u, zv)
     square = mod2.real - 2.0 * (u_at.conjugate() * u_tilde).real + abs(u_at) ** 2
     if square < -1e-10:
         raise ArithmeticError(f"localization square came out {square}, below roundoff floor")
@@ -371,38 +370,8 @@ def localization_norm(u: MonomialSymbol, z, tol: float = 1e-12,
 
 
 # ---------------------------------------------------------------------------
-# fields, paths, decay profiles
+# paths and decay profiles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A deterministic pointwise field on the disk with a display label."""
-
-    evaluator: Callable[[complex], complex]
-    label: str = ""
-
-    def __call__(self, z) -> complex:
-        return complex(self.evaluator(z))
-
-
-def berezin_series_field(u: MonomialSymbol, tol: float = 1e-12) -> ScalarField:
-    return ScalarField(lambda z: berezin_symbol_series(u, z, tol), "berezin-series")
-
-
-def berezin_exact_field(u: MonomialSymbol) -> ScalarField:
-    return ScalarField(lambda z: berezin_symbol_exact(u, z), "berezin-exact")
-
-
-def berezin_operator_field(op: TruncatedOperator) -> ScalarField:
-    return ScalarField(lambda z: berezin_operator(op, z), "berezin-operator")
-
-
-def operator_flagger(dim: int, tol: float) -> Callable[[complex], str]:
-    """Per-sample reliability flag for operator-route fields."""
-    def flag(z):
-        return "" if operator_route_reliable(dim, z, tol) else "truncation-unreliable"
-    return flag
-
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -474,7 +443,6 @@ def decay_profile(fieldfn, path: PathSpec = PathSpec(), radii=None,
         flag = flag_fn(z) if flag_fn is not None else ""
         value = complex(fieldfn(z))
         samples.append(ProfileSample(float(r), z, value, flag))
-    label = label or getattr(fieldfn, "label", "")
     return DecayProfile(label, path, tuple(samples))
 
 
@@ -519,7 +487,6 @@ def _describe(f) -> dict:
 
 
 def commutator_compactness_indicator(f, g, radii=None, dim: int = 64,
-                                     config: BerezinConfig = DEFAULT_CONFIG,
                                      path: PathSpec = PathSpec(),
                                      threshold: float = 1e-3,
                                      pad: int | None = None) -> CommutatorReport:
@@ -545,10 +512,9 @@ def commutator_compactness_indicator(f, g, radii=None, dim: int = 64,
                                   label="invariant-derivative-product")
 
     defect = analytic_commutator_defect(f, g, dim, pad)
-    flag = operator_flagger(dim, config.reliability_tol)
     berezin_profile = decay_profile(
         lambda z: abs(berezin_operator(defect, z)),
-        path, radii, flag_fn=flag, label="defect-berezin")
+        path, radii, flag_fn=lambda z: operator_flag(dim, z), label="defect-berezin")
 
     zeros = []
     for h in (f, g):
@@ -601,8 +567,7 @@ class CovarianceCheck:
     flag: str = ""
 
 
-def covariance_field_check(op: TruncatedOperator, z, w,
-                           config: BerezinConfig = DEFAULT_CONFIG) -> CovarianceCheck:
+def covariance_field_check(op: TruncatedOperator, z, w) -> CovarianceCheck:
     """Residuals of S~ o phi_z = (U_z S U_z)~ and its Laplacian form.
 
     The first residual compares the transform of S at phi_z(w) with the
@@ -618,17 +583,13 @@ def covariance_field_check(op: TruncatedOperator, z, w,
     value_residual = abs(berezin_operator(op, image)
                          - berezin_operator(conjugated, wv))
 
-    base_field = lambda p: berezin_operator(op, p)
-    composed = lambda p: berezin_operator(op, mobius_eval(zv, p))
-    left = laplacian_fd(composed, wv, config) * (1.0 - abs(wv) ** 2) ** 2
-    right = ((1.0 - abs(image) ** 2) ** 2) * laplacian_fd(base_field, image, config)
+    left = invariant_laplacian(lambda p: berezin_operator(op, mobius_eval(zv, p)), wv)
+    right = invariant_laplacian(lambda p: berezin_operator(op, p), image)
     laplacian_residual = abs(left - right)
 
-    h = config.fd_step * (1.0 - abs(image))
-    worst = abs(image) + h
-    flag = ("" if operator_route_reliable(op.dim, min(worst, DISK_RADIUS_MAX) + 0j,
-                                          config.reliability_tol)
-            else "truncation-unreliable")
+    # the widest stencil point around the image decides the flag
+    worst = abs(image) + FD_STEP * (1.0 - abs(image))
+    flag = operator_flag(op.dim, min(worst, DISK_RADIUS_MAX) + 0j)
     return CovarianceCheck(value_residual, laplacian_residual, flag)
 
 
@@ -636,32 +597,19 @@ def covariance_field_check(op: TruncatedOperator, z, w,
 # reconstructing an operator block from transform samples
 # ---------------------------------------------------------------------------
 
-def berezin_sample_grid(radii=None, n_angles: int = 24) -> np.ndarray:
-    """A polar grid comfortably inside the disk for least-squares fits.
-
-    Per angular harmonic the fit sees radial powers up to twice the
-    matrix dimension plus the kernel-prefactor degree, so the radius
-    count must comfortably exceed the fitted dimension.
-    """
-    if radii is None:
-        radii = np.linspace(0.1, 0.8, 15)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    pts = np.multiply.outer(np.asarray(radii, dtype=float),
-                            np.exp(1j * angles)).ravel()
-    return pts
-
-
-def fit_operator_from_berezin(fieldfn, dim: int, points=None) -> TruncatedOperator:
+def fit_operator_from_berezin(fieldfn, dim: int) -> TruncatedOperator:
     """Recover a dim x dim matrix from samples of its Berezin transform.
 
     Solves the least-squares inversion of the transform's double power
-    series; with enough well-spread points inside the disk this
-    reconstructs the matrix that generated the samples, numerically
-    witnessing that the transform determines the operator.
+    series on a 15 x 24 polar grid inside |z| <= 0.8; this reconstructs
+    the matrix that generated the samples, numerically witnessing that
+    the transform determines the operator.
     """
-    if points is None:
-        points = berezin_sample_grid()
-    points = np.asarray(points, dtype=complex)
+    # Per angular harmonic the fit sees radial powers up to twice the
+    # matrix dimension plus the kernel-prefactor degree, so the radius
+    # count must comfortably exceed the fitted dimension.
+    angles = 2.0 * np.pi * np.arange(24) / 24
+    points = np.multiply.outer(np.linspace(0.1, 0.8, 15), np.exp(1j * angles)).ravel()
     b = np.array([complex(fieldfn(p)) for p in points])
 
     n = np.arange(dim)

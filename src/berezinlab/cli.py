@@ -60,8 +60,11 @@ def _write_output(text: str, out_path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload: dict, rows, header, args) -> None:
@@ -82,17 +85,28 @@ def _config_from(args) -> bz.BerezinConfig:
                             n_radial=args.nr, n_angular=args.ntheta)
 
 
-def _dump_config(args, cfg: bz.BerezinConfig | None = None) -> dict:
-    """The configuration a report embeds; ``cfg`` adds its fd and reliability policy.
+def _dump_config(args, policy: bool = True) -> dict:
+    """The configuration a report embeds, with the fixed numerical policy.
 
-    Matrix dumps pass no ``cfg``: they allow any dim >= 1, below the
-    BerezinConfig floor.
+    Matrix dumps pass ``policy=False``: they use neither the fd step nor
+    the reliability tolerance.
     """
     config = {"truncation": args.trunc, "n_radial": args.nr, "n_angular": args.ntheta,
               "series_tol": args.tol, "strict": bool(args.strict), "format": args.format}
-    if cfg is not None:
-        config.update(fd_step=cfg.fd_step, reliability_tol=cfg.reliability_tol)
+    if policy:
+        config.update(fd_step=bz.FD_STEP, reliability_tol=bz.RELIABILITY_TOL)
     return config
+
+
+def _write_matrix(op, inputs: dict, args) -> int:
+    """Matrix dumps: the operator's JSON form plus inputs and configuration."""
+    if args.format != "json":
+        raise CLIError(f"{args.command} writes JSON only")
+    payload = op.to_json_dict()
+    payload["inputs"] = inputs
+    payload["config"] = _dump_config(args, policy=False)
+    _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
+    return EXIT_OK
 
 
 def _parse_z_list(text: str):
@@ -131,18 +145,15 @@ def cmd_berezin(args) -> int:
         values = {}
         flags = {}
         for route in routes:
-            flag = ""
             if route == "series":
                 value = bz.berezin_symbol_series(symbol, z, cfg.series_tol)
+                flag = ""
             elif route == "quadrature":
                 value = bz.berezin_symbol_quadrature(symbol, z, rule)
-                est = bz.quadrature_tail_estimate(rule, z, symbol.total_degree)
-                if est > cfg.reliability_tol:
-                    flag = "quadrature-unreliable"
+                flag = bz.quadrature_flag(rule, z, symbol.total_degree)
             else:
                 value = bz.berezin_operator(operator, z)
-                if not bz.operator_route_reliable(cfg.truncation, z, cfg.reliability_tol):
-                    flag = "truncation-unreliable"
+                flag = bz.operator_flag(cfg.truncation, z)
             values[route] = value
             flags[route] = flag
             flagged = flagged or bool(flag)
@@ -158,7 +169,7 @@ def cmd_berezin(args) -> int:
     payload = {"inputs": {"command": "berezin", "symbol": symbol.to_string(),
                           "z": [[z.real, z.imag] for z in zs],
                           "routes": list(routes)},
-               "config": _dump_config(args, cfg),
+               "config": _dump_config(args),
                "results": results}
     _emit(payload, rows, ("z_re", "z_im", "route", "value_re", "value_im", "flag"), args)
     return EXIT_RELIABILITY if (args.strict and flagged) else EXIT_OK
@@ -172,12 +183,8 @@ def cmd_toeplitz(args) -> int:
                                  degree_hint=symbol.total_degree)
     else:
         op = toeplitz_exact(symbol, args.trunc)
-    payload = op.to_json_dict()
-    payload["inputs"] = {"command": "toeplitz", "symbol": symbol.to_string(),
-                         "quadrature": bool(args.quadrature)}
-    payload["config"] = _dump_config(args)
-    _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
-    return EXIT_OK
+    return _write_matrix(op, {"command": "toeplitz", "symbol": symbol.to_string(),
+                              "quadrature": bool(args.quadrature)}, args)
 
 
 def cmd_uz(args) -> int:
@@ -186,11 +193,7 @@ def cmd_uz(args) -> int:
         op = unitary_uz(z, args.trunc)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    payload = op.to_json_dict()
-    payload["inputs"] = {"command": "uz", "z": [z.real, z.imag]}
-    payload["config"] = _dump_config(args)
-    _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
-    return EXIT_OK
+    return _write_matrix(op, {"command": "uz", "z": [z.real, z.imag]}, args)
 
 
 def cmd_identity_suite(args) -> int:
@@ -202,7 +205,7 @@ def cmd_identity_suite(args) -> int:
     rows = [(r.battery, "pass" if r.passed else "FAIL", r.max_residual,
              r.tolerance, r.description) for r in results]
     payload = {"inputs": {"command": "identity-suite", "only": args.only},
-               "config": _dump_config(args, cfg),
+               "config": _dump_config(args),
                "results": [{"battery": r.battery, "passed": r.passed,
                             "max_residual": r.max_residual, "tolerance": r.tolerance,
                             "description": r.description, "details": r.details}
@@ -246,11 +249,11 @@ def cmd_commutator(args) -> int:
     radii = bz.dyadic_radii(args.kmax)
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
     report = bz.commutator_compactness_indicator(
-        f, g, radii, dim=cfg.truncation, config=cfg, path=path,
+        f, g, radii, dim=cfg.truncation, path=path,
         threshold=args.threshold, pad=args.pad)
 
     payload = {"inputs": {"command": "commutator", **report.inputs},
-               "config": {**_dump_config(args, cfg), **report.config},
+               "config": {**_dump_config(args), **report.config},
                "profiles": [_profile_payload(report.deriv_profile),
                             _profile_payload(report.berezin_profile)],
                "zero_samples": [{"zero": [a.real, a.imag],
@@ -273,10 +276,9 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    cfg = _config_from(args)
+    _config_from(args)  # validates --trunc and --tol like the other transform commands
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
     radii = bz.dyadic_radii(args.kmax)
-    flag_fn = None
 
     if args.field == "factored-laplacian":
         if not args.factor:
@@ -285,31 +287,23 @@ def cmd_decay(args) -> int:
         for sym in factors:
             if not sym.is_harmonic():
                 raise CLIError(f"factor {sym.to_string()!r} is not harmonic")
-        fieldfn = bz.ScalarField(
-            lambda z: bz.factored_harmonic_invariant_laplacian(factors, z),
-            "factored-laplacian")
+        fieldfn = lambda z: bz.factored_harmonic_invariant_laplacian(factors, z)
     else:
         if args.symbol is None:
             raise CLIError(f"field {args.field!r} needs --symbol")
         u = _parse_symbol(args.symbol)
         if args.field == "berezin-minus-symbol":
-            fieldfn = bz.ScalarField(
-                lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z),
-                "berezin-minus-symbol")
+            fieldfn = lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z)
         elif args.field == "invariant-laplacian":
-            fieldfn = bz.ScalarField(
-                lambda z: bz.invariant_laplacian(bz.berezin_exact_field(u), z, cfg),
-                "invariant-laplacian")
+            fieldfn = lambda z: bz.invariant_laplacian(
+                lambda p: bz.berezin_symbol_exact(u, p), z)
         else:
-            fieldfn = bz.ScalarField(
-                lambda z: bz.localization_norm(u, z, cfg.series_tol, route="exact"),
-                "localization")
+            fieldfn = lambda z: bz.localization_norm(u, z)
 
-    profile = bz.decay_profile(fieldfn, path, radii, flag_fn=flag_fn,
-                               label=fieldfn.label)
+    profile = bz.decay_profile(fieldfn, path, radii, label=args.field)
     payload = {"inputs": {"command": "decay", "field": args.field,
                           "symbol": args.symbol, "factors": args.factor},
-               "config": _dump_config(args, cfg),
+               "config": _dump_config(args),
                "profiles": [_profile_payload(profile)],
                "residuals": {"final_magnitude": float(profile.magnitudes()[-1])},
                "verdict": ""}

@@ -338,6 +338,11 @@ def analytic_commutator_defect(f, g, dim: int, pad: int | None = None) -> Trunca
     inputs have slowly decaying Taylor tails and keep a truncation
     error that shrinks as pad grows.
     """
+    if pad is None:
+        pad = dim
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
+
     def taylor_of(h, count):
         if isinstance(h, BlaschkeProduct):
             return h.taylor(count)
@@ -351,8 +356,6 @@ def analytic_commutator_defect(f, g, dim: int, pad: int | None = None) -> Trunca
             return coeffs
         raise TypeError(f"unsupported analytic symbol {type(h).__name__}")
 
-    if pad is None:
-        pad = dim
     big = dim + pad
     t_f = toeplitz_analytic(taylor_of(f, big), big)
     t_g = toeplitz_analytic(taylor_of(g, big), big)

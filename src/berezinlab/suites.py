@@ -426,7 +426,7 @@ def battery_laplacian_consistency(cfg):
         u = random_symbol(rng, max_degree=6, scale=0.5)
         op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, cfg.truncation))
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
-        fd_route = bz.laplacian_fd(bz.berezin_series_field(u, cfg.series_tol), 0j, cfg)
+        fd_route = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(u, z, cfg.series_tol), 0j)
         closed = max(closed, abs(op_route - sym_route))
         fd = max(fd, abs(sym_route - fd_route))
     return (max(closed, fd), {"closed_forms": closed, "finite_difference": fd},
@@ -442,7 +442,7 @@ def battery_injectivity(cfg):
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m /= np.linalg.norm(m)
         op = TruncatedOperator(m)
-        fitted = bz.fit_operator_from_berezin(bz.berezin_operator_field(op), 8)
+        fitted = bz.fit_operator_from_berezin(lambda z: bz.berezin_operator(op, z), 8)
         worst = max(worst, float(np.max(np.abs(fitted.matrix - m))))
     return worst
 
@@ -456,10 +456,10 @@ def battery_invariant_laplacian_integral(cfg):
     worst = 0.0
     for _ in range(5):
         u = random_symbol(rng, max_degree=4, scale=0.5)
-        field = bz.berezin_series_field(u, cfg.series_tol)
+        field = lambda z: bz.berezin_symbol_series(u, z, cfg.series_tol)
         for z in sample_points(rng, 4, 0.7):
             lhs = bz.harmonic_defect_integral(u, z, rule)
-            rhs = bz.invariant_laplacian(field, z, cfg)
+            rhs = bz.invariant_laplacian(field, z)
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -467,9 +467,8 @@ def battery_invariant_laplacian_integral(cfg):
 @battery("covariance-field", "the transform field commutes with disk automorphisms", 1e-5)
 def battery_covariance_field(cfg):
     op = toeplitz_exact(MonomialSymbol.monomial(1, 1), cfg.truncation)
-    check = bz.covariance_field_check(op, 0.3, 0.3, cfg)
-    ident = bz.covariance_field_check(
-        TruncatedOperator(np.eye(cfg.truncation)), 0.4 + 0.1j, 0.2j, cfg)
+    check = bz.covariance_field_check(op, 0.3, 0.3)
+    ident = bz.covariance_field_check(TruncatedOperator(np.eye(cfg.truncation)), 0.4 + 0.1j, 0.2j)
     return max(check.value_residual, check.laplacian_residual,
                ident.value_residual, ident.laplacian_residual)
 

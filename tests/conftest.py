@@ -1,6 +1,5 @@
 import pytest
 
-from berezinlab.berezin import BerezinConfig
 from berezinlab.quadrature import build_rule
 
 
@@ -12,8 +11,3 @@ def default_rule():
 @pytest.fixture(scope="session")
 def big_rule():
     return build_rule(160, 640)
-
-
-@pytest.fixture(scope="session")
-def config():
-    return BerezinConfig()

@@ -86,17 +86,16 @@ def test_criterion_03_laplacian_at_zero_operator_vs_stencil():
     # closed form vs five-point stencil within 1e-5 on 20 random unit-
     # Frobenius matrices; both equal 4/3 within 1e-6 for the |w|^2 operator
     rng = np.random.default_rng(204)
-    cfg = bz.BerezinConfig()
     worst = 0.0
     for _ in range(20):
         m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         m /= np.linalg.norm(m)
         op = TruncatedOperator(m)
-        fd = bz.laplacian_fd(bz.berezin_operator_field(op), 0j, cfg)
+        fd = bz.laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
         closed = bz.laplacian_berezin_at_zero_operator(op)
         worst = max(worst, abs(fd - closed))
     op = toeplitz_exact(MOD2, 64)
-    fd = bz.laplacian_fd(bz.berezin_operator_field(op), 0j, cfg)
+    fd = bz.laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
     closed = bz.laplacian_berezin_at_zero_operator(op)
     special = max(abs(fd - 4.0 / 3.0), abs(closed - 4.0 / 3.0))
     report(3, worst <= 1e-5 and special <= 1e-6,

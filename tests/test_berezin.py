@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from berezinlab import berezin as bz
-from berezinlab.diskgeom import DiskDomainError, mobius_eval
+from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval, normalized_kernel_density
 from berezinlab.operators import (TruncatedOperator, identity_operator,
                                   semicommutator_defect, toeplitz_exact)
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
@@ -21,8 +21,6 @@ class TestConfig:
             bz.BerezinConfig(truncation=4)
         with pytest.raises(ValueError):
             bz.BerezinConfig(series_tol=0.0)
-        with pytest.raises(ValueError):
-            bz.BerezinConfig(fd_step=-1.0)
 
 
 class TestOperatorRoute:
@@ -42,8 +40,8 @@ class TestOperatorRoute:
 
     def test_tail_bound_monotone_in_radius(self):
         assert bz.operator_tail_bound(64, 0.3) < bz.operator_tail_bound(64, 0.9)
-        assert bz.operator_route_reliable(64, 0.5, 1e-6)
-        assert not bz.operator_route_reliable(64, 0.98, 1e-6)
+        assert bz.operator_flag(64, 0.5) == ""
+        assert bz.operator_flag(64, 0.98) == "truncation-unreliable"
 
 
 class TestSeriesRoute:
@@ -79,9 +77,10 @@ class TestSeriesRoute:
         rhs = np.conj(bz.berezin_symbol_series(u, z))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_convergence_guard(self):
+    def test_convergence_guard(self, monkeypatch):
+        monkeypatch.setattr(bz, "SERIES_MAX_TERMS", 1024)
         with pytest.raises(RuntimeError):
-            bz.berezin_symbol_series(MOD2, 0.9999, tol=1e-15, max_terms=1024)
+            bz.berezin_symbol_series(MOD2, 0.9999, tol=1e-15)
 
 
 class TestExactRoute:
@@ -131,6 +130,8 @@ class TestQuadratureRoute:
         inner = bz.quadrature_tail_estimate(default_rule, 0.5, 2)
         outer = bz.quadrature_tail_estimate(default_rule, 0.97, 2)
         assert inner < 1e-6 < outer
+        assert bz.quadrature_flag(default_rule, 0.5, 2) == ""
+        assert bz.quadrature_flag(default_rule, 0.97, 2) == "quadrature-unreliable"
 
 
 class TestMeanValueRoute:
@@ -171,19 +172,19 @@ class TestProducts:
 
 
 class TestLaplacians:
-    def test_fd_on_square_modulus(self, config):
-        assert bz.laplacian_fd(lambda z: abs(z) ** 2, 0.2 + 0.1j, config) == \
+    def test_fd_on_square_modulus(self):
+        assert bz.laplacian_fd(lambda z: abs(z) ** 2, 0.2 + 0.1j) == \
             pytest.approx(4.0, abs=1e-6)
 
-    def test_fd_on_harmonic(self, config):
-        assert bz.laplacian_fd(lambda z: z.real, 0.3j, config) == \
+    def test_fd_on_harmonic(self):
+        assert bz.laplacian_fd(lambda z: z.real, 0.3j) == \
             pytest.approx(0.0, abs=1e-6)
 
     def test_fd_stencil_guard(self):
-        # the default relative step never exits the disk; a large step does
-        wide = bz.BerezinConfig(fd_step=2.0)
+        # the relative step keeps the stencil inside |z| < 1, but at the
+        # largest admitted radius its outer point passes DISK_RADIUS_MAX
         with pytest.raises(bz.StencilOutOfDiskError):
-            bz.laplacian_fd(lambda z: 0.0, 0.9, wide)
+            bz.laplacian_fd(lambda z: 0.0, DISK_RADIUS_MAX)
 
     def test_operator_form_identity(self):
         assert bz.laplacian_berezin_at_zero_operator(identity_operator(8)) == 0.0
@@ -202,30 +203,29 @@ class TestLaplacians:
         harmonic = MonomialSymbol({(4, 0): 2.0, (0, 1): 1j})
         assert bz.laplacian_berezin_at_zero_symbol(harmonic) == pytest.approx(0.0)
 
-    def test_fd_meets_closed_forms(self, config):
-        field = bz.berezin_series_field(MOD2)
-        got = bz.laplacian_fd(field, 0.0, config)
+    def test_fd_meets_closed_forms(self):
+        got = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(MOD2, z), 0.0)
         assert got == pytest.approx(4.0 / 3.0, abs=1e-5)
 
-    def test_invariant_laplacian_harmonic_field(self, config):
-        assert bz.invariant_laplacian(lambda z: z.imag, 0.2, config) == \
+    def test_invariant_laplacian_harmonic_field(self):
+        assert bz.invariant_laplacian(lambda z: z.imag, 0.2) == \
             pytest.approx(0.0, abs=1e-6)
 
-    def test_invariant_laplacian_compose_oracle(self, config):
+    def test_invariant_laplacian_compose_oracle(self):
         # (1-|z|^2)^2 (Delta f)(z) equals Delta(f o phi_z) at the origin
-        field = bz.berezin_series_field(MOD2)
+        field = lambda z: bz.berezin_symbol_series(MOD2, z)
         z = 0.45 - 0.15j
-        lhs = bz.invariant_laplacian(field, z, config)
+        lhs = bz.invariant_laplacian(field, z)
         composed = lambda p: field(mobius_eval(z, p))
-        rhs = bz.laplacian_fd(composed, 0.0, config)
+        rhs = bz.laplacian_fd(composed, 0.0)
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
-    def test_defect_integral_equals_invariant_laplacian(self, default_rule, config):
+    def test_defect_integral_equals_invariant_laplacian(self, default_rule):
         u = MonomialSymbol({(1, 1): 0.5, (2, 0): 0.3j})
-        field = bz.berezin_series_field(u)
+        field = lambda z: bz.berezin_symbol_series(u, z)
         for z in (0.0, 0.4, 0.3 + 0.4j):
             lhs = bz.harmonic_defect_integral(u, z, default_rule)
-            rhs = bz.invariant_laplacian(field, z, config)
+            rhs = bz.invariant_laplacian(field, z)
             assert lhs == pytest.approx(rhs, abs=1e-5)
 
     def test_factored_laplacian(self):
@@ -253,20 +253,21 @@ class TestLocalization:
     def test_decays_radially(self):
         # value^2 = (|w|^2)~(z) - |z|^2 for u = w; falls toward the boundary
         at_09 = bz.localization_norm(W, 0.9)
-        at_099 = bz.localization_norm(W, 0.99, route="exact")
+        at_099 = bz.localization_norm(W, 0.99)
         square = bz.berezin_symbol_exact(MOD2, 0.9).real - 0.81
         assert at_09 ** 2 == pytest.approx(square, abs=1e-10)
         assert at_09 > at_099 > 0.0
         assert at_099 < 0.05
 
-    def test_routes_agree(self):
+    def test_routes_agree(self, default_rule):
+        # independent route: the norm squared is the integral of
+        # |u - u(z)|^2 |k_z|^2 dA, here by the default quadrature rule
         u = MonomialSymbol({(1, 0): 1.0, (1, 1): -0.5})
-        assert bz.localization_norm(u, 0.6) == pytest.approx(
-            bz.localization_norm(u, 0.6, route="exact"), abs=1e-10)
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            bz.localization_norm(W, 0.1, route="fft")
+        values = u.evaluate_array(default_rule.nodes)
+        for z in (0.6, 0.3 + 0.5j, 0.9):
+            density = normalized_kernel_density(z, default_rule.nodes)
+            square = np.dot(default_rule.weights, np.abs(values - u.evaluate(z)) ** 2 * density)
+            assert bz.localization_norm(u, z) == pytest.approx(math.sqrt(square), abs=1e-10)
 
 
 class TestDecayProfiles:
@@ -299,9 +300,8 @@ class TestDecayProfiles:
             bz.PathSpec(aperture=2.0)
 
     def test_flags_recorded(self):
-        flagger = bz.operator_flagger(64, 1e-6)
         profile = bz.decay_profile(lambda z: 1.0, radii=bz.dyadic_radii(8),
-                                   flag_fn=flagger)
+                                   flag_fn=lambda z: bz.operator_flag(64, z))
         flags = [s.flag for s in profile.samples]
         assert flags[0] == "" and flags[-1] == "truncation-unreliable"
         assert len(profile.reliable().samples) < len(profile.samples)
@@ -344,26 +344,26 @@ class TestCommutatorIndicator:
 
 
 class TestCovarianceField:
-    def test_parity_case(self, config):
+    def test_parity_case(self):
         op = toeplitz_exact(MOD2, 64)
-        check = bz.covariance_field_check(op, 0.0, 0.35 - 0.1j, config)
+        check = bz.covariance_field_check(op, 0.0, 0.35 - 0.1j)
         assert check.value_residual < 1e-8
 
-    def test_identity_operator(self, config):
-        check = bz.covariance_field_check(identity_operator(64), 0.4 + 0.1j, 0.2j, config)
+    def test_identity_operator(self):
+        check = bz.covariance_field_check(identity_operator(64), 0.4 + 0.1j, 0.2j)
         assert check.value_residual < 1e-8
         assert check.laplacian_residual < 1e-8
 
-    def test_generic_point(self, config):
+    def test_generic_point(self):
         op = toeplitz_exact(MOD2, 64)
-        check = bz.covariance_field_check(op, 0.3, 0.3, config)
+        check = bz.covariance_field_check(op, 0.3, 0.3)
         assert check.value_residual < 1e-5
         assert check.laplacian_residual < 1e-5
         assert check.flag == ""
 
-    def test_flags_unreliable_images(self, config):
+    def test_flags_unreliable_images(self):
         op = toeplitz_exact(MOD2, 16)
-        check = bz.covariance_field_check(op, 0.7, -0.7, config)
+        check = bz.covariance_field_check(op, 0.7, -0.7)
         assert check.flag == "truncation-unreliable"
 
 
@@ -372,8 +372,8 @@ class TestInjectivityFit:
         rng = np.random.default_rng(24)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         m /= np.linalg.norm(m)
-        fitted = bz.fit_operator_from_berezin(
-            bz.berezin_operator_field(TruncatedOperator(m)), 6)
+        op = TruncatedOperator(m)
+        fitted = bz.fit_operator_from_berezin(lambda z: bz.berezin_operator(op, z), 6)
         assert np.max(np.abs(fitted.matrix - m)) < 1e-8
 
     def test_semicommutator_transform_identity(self):

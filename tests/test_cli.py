@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,14 @@ class TestBerezinCommand:
     def test_outside_disk_rejected(self):
         assert run(["berezin", "--symbol", "1,1:1", "--z", "0.5,2.0"]) == 2
 
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = run(["berezin", "--symbol", "1,1:1", "--z", "0.5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() and not out.parent.exists()
+
 
 class TestMatrixDumps:
     def test_toeplitz_dump_schema(self, tmp_path):
@@ -112,6 +122,14 @@ class TestMatrixDumps:
 
     def test_uz_rejects_boundary_point(self):
         assert run(["uz", "--z", "1.0", "--trunc", "4"]) == 2
+
+    @pytest.mark.parametrize("argv", [["toeplitz", "--symbol", "1,1:1", "--trunc", "8"],
+                                      ["uz", "--z", "0.3", "--trunc", "4"]])
+    def test_csv_format_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} writes JSON only\n"
+        assert not out.exists()
 
 
 class TestIdentitySuite:
@@ -174,6 +192,10 @@ class TestCommutatorCommand:
 
     def test_rejects_nonanalytic_symbol(self):
         assert run(["commutator", "--f", "0,1:1", "--g", "1,0:1"]) == 2
+
+    def test_negative_pad_rejected(self, capsys):
+        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--pad", "-5"]) == 2
+        assert capsys.readouterr().err == "error: pad must be >= 0\n"
 
     def test_csv_profiles(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -242,6 +264,35 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def readme_commands():
+    """The ``berezinlab`` lines of README.md's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("berezinlab "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    outputs = {}
+    for argv in commands:
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        outputs[" ".join(argv)] = out
+    # the values the README comments promise
+    all_routes = json.loads(outputs["berezin --symbol 1,1:1 --z 0 --route all"])
+    for value in all_routes["results"][0]["values"].values():
+        assert value == pytest.approx([0.5, 0.0], abs=1e-10)
+    quadrature = json.loads(outputs["berezin --symbol 1,0:1 --z 0.5 --route quadrature"])
+    assert quadrature["results"][0]["values"]["quadrature"] == pytest.approx([0.5, 0.0],
+                                                                             abs=1e-9)
 
 
 class TestUsageErrors:

@@ -300,3 +300,7 @@ class TestAnalyticCommutatorDefect:
     def test_rejects_nonanalytic_symbol(self):
         with pytest.raises(ValueError):
             analytic_commutator_defect(WBAR, W, 8)
+
+    def test_rejects_negative_pad(self):
+        with pytest.raises(ValueError, match="pad must be >= 0"):
+            analytic_commutator_defect(W, W, 64, pad=-5)
