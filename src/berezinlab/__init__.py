@@ -22,10 +22,9 @@ from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
 from .diskgeom import (DiskDomainError, DiskPoint, bergman_kernel, disk_value,
                        mobius_deriv, mobius_eval, normalized_kernel)
 from .operators import (TruncatedOperator, analytic_commutator_defect,
-                        commutator, covariant_toeplitz, identity_operator,
-                        semicommutator_defect, toeplitz_analytic,
-                        toeplitz_exact, toeplitz_quadrature, unitary_uz,
-                        zero_operator)
+                        commutator, covariant_toeplitz, semicommutator_defect,
+                        toeplitz_analytic, toeplitz_exact, toeplitz_quadrature,
+                        unitary_uz)
 from .quadrature import (DiskQuadrature, QuadratureWarning, build_rule,
                          monomial_moment)
 from .symbols import (BlaschkeProduct, HarmonicProductKind, MonomialSymbol,

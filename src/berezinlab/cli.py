@@ -1,12 +1,14 @@
 """Batch command-line front end.
 
 Commands: ``berezin``, ``toeplitz``, ``uz``, ``identity-suite``,
-``commutator``, ``decay``.  All reports embed the resolved numerical
-configuration, floats are rendered with 12 significant digits, and
-ordering is fixed, so output is deterministic given the arguments.
+``commutator``, ``decay``.  Each takes only the shared options it reads,
+and its report embeds those with the numerical policy it uses.  Floats
+have 12 significant digits and ordering is fixed, so output is
+deterministic given the arguments.
 
-Exit codes: 0 success, 2 usage or parse error, 3 reliability flag
-raised under ``--strict``, 4 invariant failure in suites.
+Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``
+included), 3 reliability flag raised under ``--strict``, 4 invariant
+failure in suites, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_RELIABILITY = 3
 EXIT_INVARIANT = 4
+EXIT_NUMERICAL = 5
+
+# Largest dense complex matrix a command may build, checked before it is built.
+MATRIX_BUDGET_BYTES = 16 * 4096 ** 2
 
 ROUTE_ORDER = ("series", "quadrature", "operator")
 
@@ -85,26 +91,31 @@ def _config_from(args) -> bz.BerezinConfig:
                             n_radial=args.nr, n_angular=args.ntheta)
 
 
-def _dump_config(args, policy: bool = True) -> dict:
-    """The configuration a report embeds, with the fixed numerical policy.
+# The fixed numerical policy, embedded in every report but the matrix dumps.
+POLICY = {"fd_step": bz.FD_STEP, "reliability_tol": bz.RELIABILITY_TOL}
 
-    Matrix dumps pass ``policy=False``: they use neither the fd step nor
-    the reliability tolerance.
-    """
-    config = {"truncation": args.trunc, "n_radial": args.nr, "n_angular": args.ntheta,
-              "series_tol": args.tol, "strict": bool(args.strict), "format": args.format}
-    if policy:
-        config.update(fd_step=bz.FD_STEP, reliability_tol=bz.RELIABILITY_TOL)
-    return config
+
+def _dump_config(args) -> dict:
+    """The shared options the command takes, under their report names."""
+    return {key: getattr(args, dest) for dest, key in CONFIG_KEYS.items()
+            if hasattr(args, dest)}
+
+
+def _check_matrix_budget(args) -> None:
+    """Refuse a --trunc whose N x N (commutator: N + pad) matrix exceeds the budget."""
+    n, pad = getattr(args, "trunc", 0), getattr(args, "pad", 0)
+    n += n if pad is None else pad
+    need = 16 * max(n, 0) ** 2  # a negative size fails later with its own error
+    if need > MATRIX_BUDGET_BYTES:
+        raise CLIError(f"a {n} x {n} complex matrix needs {need:,} bytes, "
+                       f"over the {MATRIX_BUDGET_BYTES:,}-byte budget")
 
 
 def _write_matrix(op, inputs: dict, args) -> int:
     """Matrix dumps: the operator's JSON form plus inputs and configuration."""
-    if args.format != "json":
-        raise CLIError(f"{args.command} writes JSON only")
     payload = op.to_json_dict()
     payload["inputs"] = inputs
-    payload["config"] = _dump_config(args, policy=False)
+    payload["config"] = _dump_config(args)
     _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -169,7 +180,7 @@ def cmd_berezin(args) -> int:
     payload = {"inputs": {"command": "berezin", "symbol": symbol.to_string(),
                           "z": [[z.real, z.imag] for z in zs],
                           "routes": list(routes)},
-               "config": _dump_config(args),
+               "config": {**_dump_config(args), **POLICY},
                "results": results}
     _emit(payload, rows, ("z_re", "z_im", "route", "value_re", "value_im", "flag"), args)
     return EXIT_RELIABILITY if (args.strict and flagged) else EXIT_OK
@@ -205,7 +216,7 @@ def cmd_identity_suite(args) -> int:
     rows = [(r.battery, "pass" if r.passed else "FAIL", r.max_residual,
              r.tolerance, r.description) for r in results]
     payload = {"inputs": {"command": "identity-suite", "only": args.only},
-               "config": _dump_config(args),
+               "config": {**_dump_config(args), **POLICY},
                "results": [{"battery": r.battery, "passed": r.passed,
                             "max_residual": r.max_residual, "tolerance": r.tolerance,
                             "description": r.description, "details": r.details}
@@ -242,18 +253,18 @@ def _profile_payload(profile: bz.DecayProfile) -> dict:
 
 
 def cmd_commutator(args) -> int:
-    cfg = _config_from(args)
+    dim = bz.BerezinConfig(truncation=args.trunc).truncation  # validates --trunc
     f = _parse_indicator_input(args.f, args.blaschke_f, None)
     g = _parse_indicator_input(args.g, args.blaschke_g,
                                f if isinstance(f, BlaschkeProduct) else None)
     radii = bz.dyadic_radii(args.kmax)
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
     report = bz.commutator_compactness_indicator(
-        f, g, radii, dim=cfg.truncation, path=path,
+        f, g, radii, dim=dim, path=path,
         threshold=args.threshold, pad=args.pad)
 
     payload = {"inputs": {"command": "commutator", **report.inputs},
-               "config": {**_dump_config(args), **report.config},
+               "config": {**_dump_config(args), **POLICY, **report.config},
                "profiles": [_profile_payload(report.deriv_profile),
                             _profile_payload(report.berezin_profile)],
                "zero_samples": [{"zero": [a.real, a.imag],
@@ -276,7 +287,6 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    _config_from(args)  # validates --trunc and --tol like the other transform commands
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
     radii = bz.dyadic_radii(args.kmax)
 
@@ -303,7 +313,7 @@ def cmd_decay(args) -> int:
     profile = bz.decay_profile(fieldfn, path, radii, label=args.field)
     payload = {"inputs": {"command": "decay", "field": args.field,
                           "symbol": args.symbol, "factors": args.factor},
-               "config": _dump_config(args),
+               "config": {**_dump_config(args), **POLICY},
                "profiles": [_profile_payload(profile)],
                "residuals": {"final_magnitude": float(profile.magnitudes()[-1])},
                "verdict": ""}
@@ -316,50 +326,58 @@ def cmd_decay(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--trunc", type=int, default=64, help="matrix truncation N")
-    common.add_argument("--nr", type=int, default=80, help="radial rule size")
-    common.add_argument("--ntheta", type=int, default=256, help="angular rule size")
-    common.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 3 when any reliability flag is raised")
+# Options several commands share, and the names their reports embed them under.
+SHARED_OPTIONS = {
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="json"),
+    "trunc": dict(type=int, default=64, help="matrix truncation N"),
+    "nr": dict(type=int, default=80, help="radial rule size"),
+    "ntheta": dict(type=int, default=256, help="angular rule size"),
+    "tol": dict(type=float, default=1e-12, help="series tolerance"),
+    "strict": dict(action="store_true",
+                   help="exit 3 when any reliability flag is raised"),
+}
+CONFIG_KEYS = {"trunc": "truncation", "nr": "n_radial", "ntheta": "n_angular",
+               "tol": "series_tol", "strict": "strict", "format": "format"}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berezinlab",
         description="Berezin-transform laboratory on the Bergman space of the disk")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("berezin", parents=[common],
-                       help="transform of a polynomial symbol at given points")
+    def command(name, func, shared, help):
+        p = sub.add_parser(name, help=help)
+        for dest in shared.split():
+            p.add_argument("--" + dest, **SHARED_OPTIONS[dest])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("berezin", cmd_berezin, "out format trunc nr ntheta tol strict",
+                help="transform of a polynomial symbol at given points")
     p.add_argument("--symbol", required=True, help="terms 'j,k:re+imi' joined by ';'")
     p.add_argument("--z", required=True, help="comma-separated complex points")
     p.add_argument("--route", choices=("series", "quadrature", "operator", "all"),
                    default="all")
-    p.set_defaults(func=cmd_berezin)
 
-    p = sub.add_parser("toeplitz", parents=[common],
-                       help="dump a truncated Toeplitz matrix as JSON")
+    p = command("toeplitz", cmd_toeplitz, "out trunc nr ntheta",
+                help="dump a truncated Toeplitz matrix as JSON")
     p.add_argument("--symbol", required=True)
     p.add_argument("--quadrature", action="store_true",
                    help="build entries by quadrature instead of the closed form")
-    p.set_defaults(func=cmd_toeplitz)
 
-    p = sub.add_parser("uz", parents=[common],
-                       help="dump the truncated Mobius unitary as JSON")
+    p = command("uz", cmd_uz, "out trunc",
+                help="dump the truncated Mobius unitary as JSON")
     p.add_argument("--z", required=True)
-    p.set_defaults(func=cmd_uz)
 
-    p = sub.add_parser("identity-suite", parents=[common],
-                       help="run the invariant batteries and report pass/fail")
+    p = command("identity-suite", cmd_identity_suite, "out format trunc nr ntheta tol",
+                help="run the invariant batteries and report pass/fail")
     p.add_argument("--only", default=None, choices=sorted(BATTERIES),
                    metavar="BATTERY", help="run a single battery")
-    p.set_defaults(func=cmd_identity_suite)
 
-    p = sub.add_parser("commutator", parents=[common],
-                       help="boundary-decay indicator for an analytic pair")
+    p = command("commutator", cmd_commutator, "out format trunc strict",
+                help="boundary-decay indicator for an analytic pair")
     p.add_argument("--f", default=None, help="analytic symbol for f")
     p.add_argument("--g", default=None, help="analytic symbol for g")
     p.add_argument("--blaschke-f", default=None, help="comma-separated zeros")
@@ -370,10 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aperture", type=float, default=0.0)
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--pad", type=int, default=None)
-    p.set_defaults(func=cmd_commutator)
 
-    p = sub.add_parser("decay", parents=[common],
-                       help="sample a boundary-decay field along a path")
+    p = command("decay", cmd_decay, "out format",
+                help="sample a boundary-decay field along a path")
     p.add_argument("--field", required=True,
                    choices=("berezin-minus-symbol", "invariant-laplacian",
                             "localization", "factored-laplacian"))
@@ -383,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--aperture", type=float, default=0.0)
-    p.set_defaults(func=cmd_decay)
 
     return parser
 
@@ -392,13 +408,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_matrix_budget(args)
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_NUMERICAL
 
 
 def entrypoint():

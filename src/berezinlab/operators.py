@@ -104,14 +104,6 @@ class TruncatedOperator:
         return cls(m)
 
 
-def identity_operator(dim: int) -> TruncatedOperator:
-    return TruncatedOperator(np.eye(dim, dtype=complex))
-
-
-def zero_operator(dim: int) -> TruncatedOperator:
-    return TruncatedOperator(np.zeros((dim, dim), dtype=complex))
-
-
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     return a @ b - b @ a
 

@@ -24,6 +24,7 @@ import numpy as np
 
 DEFAULT_N_RADIAL = 80
 DEFAULT_N_ANGULAR = 256
+MOMENT_TOL = 1e-11  # moment error above which check_rule_for_degree warns
 
 
 class QuadratureWarning(UserWarning):
@@ -64,16 +65,6 @@ class DiskQuadrature:
     def n_radial(self) -> int:
         return len(self.radial_r)
 
-    @property
-    def radial_exactness(self) -> int:
-        """Largest k with t^k = |w|^{2k} integrated exactly."""
-        return 2 * self.n_radial - 1
-
-    @property
-    def angular_exactness(self) -> int:
-        """Largest |a - b| whose angular harmonic is annihilated exactly."""
-        return self.n_angular - 1
-
     def node_grid(self) -> np.ndarray:
         """Nodes as an (n_radial, n_angular) grid, row i at radius r_i."""
         return self.nodes.reshape(self.n_radial, self.n_angular)
@@ -112,8 +103,7 @@ def build_rule(n_radial: int = DEFAULT_N_RADIAL,
                           n_angular=n_angular)
 
 
-def check_rule_for_degree(rule: DiskQuadrature, degree: int,
-                          tol: float = 1e-11) -> float:
+def check_rule_for_degree(rule: DiskQuadrature, degree: int) -> float:
     """Return the worst moment error up to ``degree`` and warn if large.
 
     Sampled at the corner exponents, which is where a tensor rule first
@@ -124,7 +114,7 @@ def check_rule_for_degree(rule: DiskQuadrature, degree: int,
     worst = 0.0
     for a, b in probes:
         worst = max(worst, abs(rule.rule_moment(a, b) - monomial_moment(a, b)))
-    if worst > tol:
+    if worst > MOMENT_TOL:
         warnings.warn(
             f"quadrature rule ({rule.n_radial} radial x {rule.n_angular} angular)"
             f" misses monomial moments of degree {degree} by {worst:.3e}",

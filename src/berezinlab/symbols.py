@@ -21,6 +21,7 @@ from .diskgeom import DiskPoint, disk_value
 # largest coefficient) are treated as zero by the harmonicity tests;
 # hand-built integer/Gaussian-integer corpora cancel exactly anyway.
 COEFF_REL_TOL = 1e-12
+FORMAT_DIGITS = 12  # significant digits format_complex writes
 
 _TERM_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*(\S+)\s*$")
 _COMPLEX_RE = re.compile(
@@ -38,15 +39,15 @@ def parse_complex(text: str) -> complex:
     return complex(s.replace("i", "j"))
 
 
-def format_complex(value: complex, digits: int = 12) -> str:
+def format_complex(value: complex) -> str:
     """Render a complex number back into the ``a+bi`` literal syntax."""
     re_part, im_part = value.real, value.imag
     if im_part == 0.0:
-        return f"{re_part:.{digits}g}"
+        return f"{re_part:.{FORMAT_DIGITS}g}"
     if re_part == 0.0:
-        return f"{im_part:.{digits}g}i"
+        return f"{im_part:.{FORMAT_DIGITS}g}i"
     sign = "+" if im_part >= 0 else "-"
-    return f"{re_part:.{digits}g}{sign}{abs(im_part):.{digits}g}i"
+    return f"{re_part:.{FORMAT_DIGITS}g}{sign}{abs(im_part):.{FORMAT_DIGITS}g}i"
 
 
 class MonomialSymbol:

@@ -5,8 +5,8 @@ import pytest
 
 from berezinlab import berezin as bz
 from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval, normalized_kernel_density
-from berezinlab.operators import (TruncatedOperator, identity_operator,
-                                  semicommutator_defect, toeplitz_exact)
+from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
+                                  toeplitz_exact)
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
 
 W = MonomialSymbol.identity()
@@ -30,7 +30,7 @@ class TestOperatorRoute:
         assert bz.berezin_operator(op, 0.0) == pytest.approx(op.matrix[0, 0])
 
     def test_identity_transforms_to_one(self):
-        op = identity_operator(64)
+        op = TruncatedOperator(np.eye(64))
         for z in (0.0, 0.3 - 0.2j, 0.7):
             assert bz.berezin_operator(op, z) == pytest.approx(1.0, abs=1e-8)
 
@@ -187,7 +187,7 @@ class TestLaplacians:
             bz.laplacian_fd(lambda z: 0.0, DISK_RADIUS_MAX)
 
     def test_operator_form_identity(self):
-        assert bz.laplacian_berezin_at_zero_operator(identity_operator(8)) == 0.0
+        assert bz.laplacian_berezin_at_zero_operator(TruncatedOperator(np.eye(8))) == 0.0
 
     def test_operator_form_modulus(self):
         got = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(MOD2, 8))
@@ -195,7 +195,7 @@ class TestLaplacians:
 
     def test_operator_form_needs_two_modes(self):
         with pytest.raises(ValueError):
-            bz.laplacian_berezin_at_zero_operator(identity_operator(1))
+            bz.laplacian_berezin_at_zero_operator(TruncatedOperator(np.eye(1)))
 
     def test_symbol_form(self):
         assert bz.laplacian_berezin_at_zero_symbol(ONE) == 0.0
@@ -350,7 +350,7 @@ class TestCovarianceField:
         assert check.value_residual < 1e-8
 
     def test_identity_operator(self):
-        check = bz.covariance_field_check(identity_operator(64), 0.4 + 0.1j, 0.2j)
+        check = bz.covariance_field_check(TruncatedOperator(np.eye(64)), 0.4 + 0.1j, 0.2j)
         assert check.value_residual < 1e-8
         assert check.laplacian_residual < 1e-8
 

@@ -127,9 +127,61 @@ class TestMatrixDumps:
                                       ["uz", "--z", "0.3", "--trunc", "4"]])
     def test_csv_format_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "m.csv"
-        assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {argv[0]} writes JSON only\n"
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--format", "csv", "--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,builder", [
+        (["toeplitz", "--symbol", "1,1:1"], "toeplitz_exact"),
+        (["toeplitz", "--symbol", "1,1:1", "--quadrature"], "toeplitz_quadrature"),
+        (["uz", "--z", "0.3"], "unitary_uz")])
+    def test_oversized_trunc_refused_before_build(self, argv, builder, monkeypatch, capsys):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError(f"{builder} was called")
+        monkeypatch.setattr(cli, builder, must_not_build)
+        assert run(argv + ["--trunc", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a 100000 x 100000 complex matrix needs 160,000,000,000 bytes, "
+            "over the 268,435,456-byte budget\n")
+
+
+class TestMatrixBudget:
+    @staticmethod
+    def within_budget(argv):
+        try:
+            cli._check_matrix_budget(cli.build_parser().parse_args(argv))
+        except cli.CLIError:
+            return False
+        return True
+
+    def test_boundary_is_4096_rows(self):
+        assert self.within_budget(["uz", "--z", "0", "--trunc", "4096"])
+        assert not self.within_budget(["uz", "--z", "0", "--trunc", "4097"])
+        assert not self.within_budget(["berezin", "--symbol", "1,1:1", "--z", "0",
+                                       "--trunc", "4097"])
+        assert not self.within_budget(["identity-suite", "--trunc", "4097"])
+
+    def test_commutator_counts_the_pad(self):
+        pair = ["commutator", "--f", "1,0:1", "--g", "1,0:1"]
+        assert self.within_budget(pair + ["--trunc", "2048"])
+        assert not self.within_budget(pair + ["--trunc", "2049"])
+        assert not self.within_budget(pair + ["--trunc", "2048", "--pad", "2049"])
+        assert self.within_budget(pair + ["--trunc", "4000", "--pad", "96"])
+
+    def test_negative_sizes_left_to_their_own_errors(self, capsys):
+        assert run(["uz", "--z", "0", "--trunc", "-5000"]) == 2
+        assert capsys.readouterr().err == "error: dim must be >= 1\n"
+        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--trunc", "8",
+                    "--pad", "-100000"]) == 2
+        assert capsys.readouterr().err == "error: pad must be >= 0\n"
+
+    def test_commutator_refused_before_build(self, monkeypatch):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("indicator was built")
+        monkeypatch.setattr(cli.bz, "commutator_compactness_indicator", must_not_build)
+        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--trunc", "3000"]) == 2
 
 
 class TestIdentitySuite:
@@ -295,6 +347,51 @@ def test_readme_examples(capsys):
                                                                              abs=1e-9)
 
 
+# The shared options each command takes (the rest are usage errors), a
+# cheap argv for it, and the config keys its report adds to those options.
+SHARED_VALUES = {"--out": "-", "--format": "json", "--trunc": "16", "--nr": "20",
+                 "--ntheta": "64", "--tol": "1e-10", "--strict": None}
+CONFIG_NAMES = {"--format": "format", "--trunc": "truncation", "--nr": "n_radial",
+                "--ntheta": "n_angular", "--tol": "series_tol", "--strict": "strict"}
+POLICY_KEYS = {"fd_step", "reliability_tol"}
+COMMANDS = {
+    "berezin": (["--symbol", "1,1:1", "--z", "0.3"],
+                "--out --format --trunc --nr --ntheta --tol --strict", POLICY_KEYS),
+    "toeplitz": (["--symbol", "1,1:1", "--trunc", "8"], "--out --trunc --nr --ntheta", set()),
+    "uz": (["--z", "0.3", "--trunc", "4"], "--out --trunc", set()),
+    "identity-suite": (["--only", "mobius-involution"],
+                       "--out --format --trunc --nr --ntheta --tol", POLICY_KEYS),
+    "commutator": (["--f", "1,0:1", "--g", "1,0:1", "--kmax", "4", "--trunc", "16"],
+                   "--out --format --trunc --strict",
+                   POLICY_KEYS | {"dim", "pad", "threshold", "radii", "angle", "aperture"}),
+    "decay": (["--field", "localization", "--symbol", "1,0:1", "--kmax", "4"],
+              "--out --format", POLICY_KEYS),
+}
+DROPPED = [(command, option) for command, (_, kept, _) in COMMANDS.items()
+           for option in SHARED_VALUES if option not in kept.split()]
+
+
+class TestOptionSurface:
+    def test_seventeen_options_dropped(self):
+        assert len(DROPPED) == 17
+
+    @pytest.mark.parametrize("command,option", DROPPED)
+    def test_dropped_option_is_usage_error(self, command, option, capsys):
+        value = SHARED_VALUES[option]
+        with pytest.raises(SystemExit) as err:
+            run([command, *COMMANDS[command][0], option, *([value] if value else [])])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_holds_kept_options(self, command, capsys):
+        argv, kept, extra = COMMANDS[command]
+        assert run([command, *argv]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        expected = {CONFIG_NAMES[o] for o in kept.split() if o in CONFIG_NAMES} | extra
+        assert set(config) == expected
+
+
 class TestUsageErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit) as err:
@@ -330,3 +427,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["decay", "--field", "localization", "--symbol", "3,0:1e5;0,2:1e5", "--kmax", "39"],
+        ["berezin", "--symbol", "1,1:1", "--z", "0.99999999", "--route", "series"]])
+    def test_numerical_failure_exits_five_without_traceback(self, args):
+        proc = self.run_module(args)
+        assert proc.returncode == cli.EXIT_NUMERICAL == 5
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

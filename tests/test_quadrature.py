@@ -42,9 +42,13 @@ class TestBuildRule:
             build_rule(4, 0)
 
     def test_exactness_degrees(self):
+        # 10 Gauss points in t integrate t^19 exactly but not t^20; 32 angles
+        # annihilate the harmonics e^{ik theta} for 0 < |k| <= 31 but not k = 32
         rule = build_rule(10, 32)
-        assert rule.radial_exactness == 19
-        assert rule.angular_exactness == 31
+        assert rule.rule_moment(19, 19) == pytest.approx(1 / 20, abs=1e-15)
+        assert abs(rule.rule_moment(20, 20) - 1 / 21) > 1e-14
+        assert rule.rule_moment(31, 0) == 0
+        assert rule.rule_moment(32, 0) == pytest.approx(1 / 17)
 
 
 class TestIntegrate:
