@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import berezin as bz
-from .operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
+from .operators import BASIS, toeplitz_exact, toeplitz_quadrature, unitary_uz
 from .suites import BATTERIES, run_batteries
 from .symbols import (BlaschkeProduct, MonomialSymbol, parse_blaschke_zeros,
                       parse_complex)
@@ -60,15 +60,18 @@ def _roundtrip(value):
     return value
 
 
-def _write_output(text: str, out_path: str | None):
+def _write_output(chunks, out_path: str | None):
+    """Write the text pieces in order; stdout always ends with a newline."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise CLIError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
@@ -76,14 +79,14 @@ def _write_output(text: str, out_path: str | None):
 def _emit(payload: dict, rows, header, args) -> None:
     """Write the report as JSON (full payload) or CSV (tabular rows)."""
     if args.format == "json":
-        _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
+        _write_output([json.dumps(_roundtrip(payload), indent=2, sort_keys=True)], args.out)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-        _write_output(buf.getvalue(), args.out)
+        _write_output([buf.getvalue()], args.out)
 
 
 def _config_from(args) -> bz.BerezinConfig:
@@ -112,11 +115,29 @@ def _check_matrix_budget(args) -> None:
 
 
 def _write_matrix(op, inputs: dict, args) -> int:
-    """Matrix dumps: the operator's JSON form plus inputs and configuration."""
-    payload = op.to_json_dict()
-    payload["inputs"] = inputs
-    payload["config"] = _dump_config(args)
-    _write_output(json.dumps(_roundtrip(payload), indent=2, sort_keys=True), args.out)
+    """Matrix dumps: the operator's JSON form plus inputs and configuration.
+
+    The text is that of json.dumps as in ``_emit``, but the entries are
+    formatted and written row by row, never as one nested list.
+    """
+    payload = {"basis": BASIS, "dim": op.dim, "entries": [], "inputs": inputs,
+               "config": _dump_config(args)}
+    text = json.dumps(_roundtrip(payload), indent=2, sort_keys=True)
+    head, _, tail = text.partition('"entries": []')
+
+    def row_text(row):
+        parts = [repr(float(_fmt(x))) for x in row.view(float).tolist()]
+        return "    [\n" + ",\n".join(
+            f"      [\n        {re},\n        {im}\n      ]"
+            for re, im in zip(parts[::2], parts[1::2])) + "\n    ]"
+
+    def chunks():
+        yield head + '"entries": [\n'
+        for q, row in enumerate(op.matrix):
+            yield (",\n" if q else "") + row_text(row)
+        yield "\n  ]" + tail
+
+    _write_output(chunks(), args.out)
     return EXIT_OK
 
 

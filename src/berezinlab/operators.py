@@ -26,6 +26,9 @@ from .quadrature import DiskQuadrature, check_rule_for_degree
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 
+BASIS = "orthonormal-monomial"  # the basis the JSON wire format names
+
+
 class TruncatedOperator:
     """An N x N complex matrix in the orthonormal monomial basis."""
 
@@ -90,11 +93,11 @@ class TruncatedOperator:
 
     def to_json_dict(self) -> dict:
         entries = [[[v.real, v.imag] for v in row] for row in self.matrix]
-        return {"dim": self.dim, "basis": "orthonormal-monomial", "entries": entries}
+        return {"dim": self.dim, "basis": BASIS, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TruncatedOperator":
-        if payload.get("basis") != "orthonormal-monomial":
+        if payload.get("basis") != BASIS:
             raise ValueError(f"unsupported basis {payload.get('basis')!r}")
         dim = int(payload["dim"])
         entries = payload["entries"]
@@ -117,13 +120,14 @@ def toeplitz_exact(u: MonomialSymbol, dim: int) -> TruncatedOperator:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     m = np.zeros((dim, dim), dtype=complex)
-    for q, p, values in _toeplitz_diagonals(u, dim):
-        m[q, p] += values
+    for offset, lo, values in _toeplitz_diagonals(u, dim):
+        p = np.arange(lo, lo + len(values))
+        m[p + offset, p] += values
     return TruncatedOperator(m)
 
 
 def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
-    """Yield (q, p, entries) for each term's diagonal of T_u's compression."""
+    """Yield (offset, p_lo, entries): entries[i] is T_u[p_lo + i + offset, p_lo + i]."""
     for (j, k), c in u.coeffs.items():
         offset = j - k
         p_lo = max(0, -offset)
@@ -134,7 +138,7 @@ def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
         q = p + offset
         # single sqrt of the product keeps perfect squares exact (u = 1
         # really is the identity matrix)
-        yield q, p, c * np.sqrt((p + 1.0) * (q + 1.0)) / (j + p + 1.0)
+        yield offset, p_lo, c * np.sqrt((p + 1.0) * (q + 1.0)) / (j + p + 1.0)
 
 
 def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
@@ -198,66 +202,75 @@ def unitary_uz(z, dim: int) -> TruncatedOperator:
     for multiplication by the rational phi_z (see ``_uz_columns``), in
     O(dim^2) operations whatever |z| is.  U_z exchanges the constants
     with -k_z and squares to the identity; both survive compression up
-    to geometric tails.
+    to geometric tails.  U_z is Hermitian and U_conj(z) its entrywise
+    conjugate, so U_conj(z)'s stored columns are U_z's rows: no transpose.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return TruncatedOperator(_uz_columns(z, dim, dim))
+    return TruncatedOperator(_uz_columns(disk_value(z).conjugate(), dim, dim).T)
 
 
 def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
     """The first ``cols`` columns of U_z, each cut to its first ``rows`` entries.
 
     Let D[n, p] be the Taylor coefficient of w^n in phi_z^p * phi_z'.
-    Column 0 is the series of phi_z' = (|z|^2 - 1) / (1 - conj(z) w)^2,
-    and (1 - conj(z) w) * phi_z^p phi_z' = (z - w) * phi_z^(p-1) phi_z'
-    gives, with D[-1, p] = 0,
+    Column 0 is the series of phi_z' = (|z|^2 - 1) / (1 - c w)^2 with
+    c = conj(z), and (1 - c w) * phi_z^p phi_z' = (z - w) * phi_z^(p-1) phi_z'
+    gives, with D[-1, p] = 0, one first-order solve per column:
 
-        D[n, p] = conj(z) D[n-1, p] + z D[n, p-1] - D[n-1, p-1].
+        D[n, p] = c D[n-1, p] + x[n],   x[n] = z D[n, p-1] - D[n-1, p-1].
 
-    Every entry reads only antidiagonals n+p-1 and n+p-2, so the sweep
-    runs over antidiagonals with three rolling buffers of length
-    ``cols`` and writes each one into the output through a strided view.
-    Entries with n < rows read only entries with smaller n, so the cut
-    at ``rows`` is exact.  The cost is O(rows * cols) operations and
-    O(cols) memory beyond the output; the orthonormal scaling
-    sqrt(p+1) / sqrt(n+1) is applied in place at the end.
+    It takes a fixed number of numpy calls whatever |z| is.  When
+    c^8 < 1e-18 it is the product (1 + c S)(1 + c^2 S^2)(1 + c^4 S^4), S
+    the shift, cut where c^(2^j) < 1e-18; otherwise the scaled prefix sum
+    y[s+i] = c^i (cumsum(c^-i x) + c y[s-1]) over blocks of length B with
+    |c|^-B <= 1e290, all in one call.  Blocks are cut only when the rows
+    exceed one, so each is over B/2 long and c^B < 1e-140: the carry goes
+    one block deep.  Entries with n < rows read only smaller n, so the
+    cut at ``rows`` is exact.  Column p is row p of a (cols, rows) array
+    padded to whole blocks; its transposed view is returned, scaled in
+    place by sqrt(p+1) / sqrt(n+1).
     """
     zv = disk_value(z)
     zc = zv.conjugate()
     t = abs(zv) ** 2
 
-    m = np.empty((rows, cols), dtype=complex)
-    m[:, 0] = (t - 1.0) * np.arange(1, rows + 1) * zc ** np.arange(0, rows)
-    if cols > 1:
-        flat = m.reshape(-1)
-        step = cols - 1
-        # prev2, prev1, cur: antidiagonals k-2, k-1, k indexed by p; an
-        # index not yet reached by the sweep still holds D[-1, p] = 0.
-        # term holds z * prev1, so the sweep allocates nothing per step.
-        prev2, prev1, cur, term = np.zeros((4, cols), dtype=complex)
-        prev1[0] = m[0, 0]
-        for k in range(1, rows + cols - 1):
-            lo, hi = max(1, k - rows + 1), min(cols - 1, k) + 1
-            if k < rows:
-                cur[0] = m[k, 0]
-            out, shifted = cur[lo:hi], term[:hi - lo]
-            np.multiply(prev1[lo:hi], zc, out=out)
-            np.multiply(prev1[lo - 1:hi - 1], zv, out=shifted)
-            out += shifted
-            out -= prev2[lo - 1:hi - 1]
-            # entry (k - p, p) sits at flat index k*cols - p*step >= 1;
-            # stop one short of the last, since a negative stop would wrap
-            first = (k - lo) * cols + lo
-            last = first - (hi - lo - 1) * step
-            flat[first:last - 1:-step] = out
-            prev2, prev1, cur = prev1, cur, prev2
+    steps = []  # doubling factors (shift, conj(z)**shift)
+    s, c = 1, zc
+    while s < rows and abs(c) >= 1e-18:
+        steps.append((s, c))
+        s, c = 2 * s, c * c
+    prefix = len(steps) > 3  # up to three factors cost less than a prefix sum
+    blocks = -(-rows // int(290.0 / -math.log10(abs(zv)))) if prefix else 1
+    width = -(-rows // blocks)
+
+    m = np.empty((cols, blocks, width), dtype=complex)
+    flat = m.reshape(cols, blocks * width)
+    flat[0] = (t - 1.0) * np.arange(1, flat.shape[1] + 1) * zc ** np.arange(flat.shape[1])
+    if prefix:
+        power = np.multiply.accumulate(np.r_[1.0, np.full(width - 1, zc)])
+        inverse = 1.0 / power
+    for p in range(1, cols):
+        prev, y = flat[p - 1], flat[p]
+        np.multiply(prev, zv, out=y)
+        np.subtract(y[1:], prev[:-1], out=y[1:])
+        if not prefix:
+            for s, c in steps:
+                y[s:] += c * y[:-s]
+            continue
+        grid = m[p]
+        np.multiply(grid, inverse, out=grid)
+        np.add.accumulate(grid, axis=1, out=grid)
+        if blocks > 1:
+            grid[1:] += zc * power[-1] * grid[:-1, -1:]
+        np.multiply(grid, power, out=grid)
+    m = flat[:, :rows]
     # scale the real and imaginary parts as floats: (x * s) / s == x for
     # x = +-1, so the diagonal of U_0 stays exactly -1, 1, -1, ...
-    parts = m.view(float).reshape(rows, cols, 2)
+    parts = m.view(float)
     parts *= np.sqrt(np.arange(1, cols + 1, dtype=float))[:, None]
-    parts /= np.sqrt(np.arange(1, rows + 1, dtype=float))[:, None, None]
-    return m
+    parts /= np.repeat(np.sqrt(np.arange(1, rows + 1, dtype=float)), 2)
+    return m.T
 
 
 # Largest working size (rows of the U_z column block) covariant_toeplitz
@@ -288,7 +301,8 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
     U_z and T_u, the route compresses from a faithful working size: it
     builds the first ``dim`` columns V of U_z out to M rows, chosen so
     their tails beyond M are negligible, and returns V^H (T_u V) with
-    T_u applied by its diagonals.  Raises ValueError, before building
+    T_u applied by its diagonals, each one slice-times-slice product over
+    the stored columns.  Raises ValueError, before building
     anything, when M would exceed COVARIANT_MAX_ROWS.
     """
     if dim < 1:
@@ -300,11 +314,12 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
             f"covariant_toeplitz at |z| = {abs(zv):.6g}, dim = {dim} needs a "
             f"working size of {rows} rows, above the ceiling of "
             f"{COVARIANT_MAX_ROWS}")
-    v = _uz_columns(zv, rows, dim)
+    v = _uz_columns(zv, rows, dim).T  # row c is column c of U_z
     tv = np.zeros_like(v)
-    for q, p, values in _toeplitz_diagonals(u, rows):
-        tv[q] += values[:, None] * v[p]
-    return TruncatedOperator(v.conj().T @ tv)
+    for offset, lo, values in _toeplitz_diagonals(u, rows):
+        n = len(values)
+        tv[:, lo + offset:lo + offset + n] += values * v[:, lo:lo + n]
+    return TruncatedOperator(v.conj() @ tv.T)
 
 
 def semicommutator_defect(u: MonomialSymbol, v: MonomialSymbol,

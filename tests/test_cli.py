@@ -120,6 +120,47 @@ class TestMatrixDumps:
         op = TruncatedOperator.from_json_dict(read_json(out))
         assert np.allclose(op.matrix, np.diag([-1, 1, -1, 1]))
 
+    @pytest.mark.parametrize("trunc", ["8", "24", "48"])
+    @pytest.mark.parametrize("argv", [["toeplitz", "--symbol", "1,1:1;2,0:0.5;0,1:-0.25i"],
+                                      ["uz", "--z", "0.3+0.2i"],
+                                      ["uz", "--z", "0"]])
+    def test_dump_text_matches_json_dumps(self, argv, trunc, tmp_path, capsys):
+        # the streamed dump is byte for byte the json.dumps text of the
+        # whole payload, with stdout's trailing newline and without it in a file
+        argv = argv + ["--trunc", trunc]
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        op = TruncatedOperator.from_json_dict(payload)
+        whole = {**op.to_json_dict(), "inputs": payload["inputs"],
+                 "config": payload["config"]}
+        want = json.dumps(cli._roundtrip(whole), indent=2, sort_keys=True)
+        assert text == want + "\n"
+        out = tmp_path / "m.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_dump_memory_stays_near_one_matrix(self):
+        # a 512 x 512 dump is 4 MB of matrix and 10.5 MB of text; building
+        # it as nested lists took about 160 MB over the imports
+        script = (
+            "import os, resource\n"
+            "from berezinlab.cli import main\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = main(['toeplitz', '--symbol', '1,1:1;2,0:0.5', '--trunc', '512',\n"
+            "             '--out', os.devnull])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, (peak - base) / 1024)\n")
+        pytest.importorskip("resource")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        code, growth_mb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert float(growth_mb) < 30.0
+
     def test_uz_rejects_boundary_point(self):
         assert run(["uz", "--z", "1.0", "--trunc", "4"]) == 2
 

@@ -214,6 +214,27 @@ class TestUnitary:
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+    @pytest.mark.parametrize("r", [0.0, 1e-200, 1e-30, 1e-5, 0.05, 0.1, 0.3, 0.6,
+                                   0.9, 0.99, 0.999])
+    def test_column_block_matches_convolution_across_radii(self, r):
+        # below |z| ~ 5.6e-3 the build takes the doubling product; above,
+        # 300 rows need two prefix blocks at |z| = 0.05, 700 rows two at
+        # 0.3 and 1024 rows five at 0.05, and the square and the 200
+        # columns carry weight across the block boundaries
+        z = r * np.exp(0.3j)
+        for rows, cols in ((1, 1), (1, 7), (2, 9), (64, 64), (300, 300),
+                           (700, 200), (1024, 8)):
+            got = operators._uz_columns(z, rows, cols)
+            assert got.shape == (rows, cols)
+            want = uz_columns_by_convolution(z, rows, cols)
+            assert np.max(np.abs(got - want)) < 1e-12, (rows, cols)
+
+    @pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
+    def test_self_adjoint_at_256(self, r):
+        u = unitary_uz(r * np.exp(1.1j), 256).matrix
+        assert np.max(np.abs(u - u.conj().T)) < 1e-12
+
+
 class TestCovariantRoute:
     def test_origin_flips_sign_of_w(self):
         got = covariant_toeplitz(W, 0.0, 16).matrix
@@ -239,6 +260,18 @@ class TestCovariantRoute:
             rhs = toeplitz_quadrature(u.compose_mobius_evaluator(z), 64,
                                       big_rule, warn=False)
             assert (lhs - rhs).norm_fro() < 1e-10
+
+    def test_offsets_below_and_beyond_the_working_block(self):
+        # offsets -2 and +-70, the latter at least the 65 working rows of
+        # z = 0.3+0.1j, dim 8; the reference applies the dense T_u
+        u = MonomialSymbol.from_string("1,0:1;0,2:0.5-0.25i;70,0:2;0,70:1i;1,1:-1")
+        z, dim = 0.3 + 0.1j, 8
+        rows = operators._covariant_rows(abs(z), dim)
+        assert rows == 65
+        v = operators._uz_columns(z, rows, dim)
+        want = v.conj().T @ toeplitz_exact(u, rows).matrix @ v
+        got = covariant_toeplitz(u, z, dim).matrix
+        assert np.max(np.abs(got - want)) < 1e-14
 
     def test_refuses_working_size_above_ceiling(self, monkeypatch):
         def no_build(*args):
