@@ -11,8 +11,12 @@ Five routes to the same number:
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
-  aliasing estimate stays within RELIABILITY_TOL;
-* mean-value route: u~(z) = integral of u o phi_z dA.
+  aliasing estimate stays within RELIABILITY_TOL.  The density is one
+  real grid over the rule's rings and angles, formed without
+  cancellation; a polynomial symbol is never evaluated on the nodes but
+  contracted with the density's per-ring angular Fourier sums;
+* mean-value route: u~(z) = integral of u o phi_z dA, summed over
+  fixed slices of the rule's nodes.
 
 The numerical policy every report shares is fixed here: FD_STEP for
 the five-point Laplacian and RELIABILITY_TOL for the reliability flags.
@@ -30,8 +34,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .diskgeom import (DISK_RADIUS_MAX, DiskDomainError, disk_value,
-                       mobius_eval, normalized_kernel_density)
+from .diskgeom import DISK_RADIUS_MAX, DiskDomainError, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
 from .quadrature import DiskQuadrature, build_rule, monomial_moment
@@ -42,6 +45,10 @@ SERIES_MAX_TERMS = 2_000_000
 FD_STEP = 1e-3
 # Error bound at or beyond which a sample carries a reliability flag.
 RELIABILITY_TOL = 1e-6
+# Nodes per slice of the mean-value integrals: every complex temporary of
+# a slice is 64 KB, below glibc's default 128 KB mmap threshold, so the
+# slices reuse heap memory instead of faulting in fresh pages.
+BLOCK_NODES = 4096
 
 
 class StencilOutOfDiskError(DiskDomainError):
@@ -210,25 +217,85 @@ def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
 
 
 def _as_evaluator(u):
-    if isinstance(u, (MonomialSymbol, BlaschkeProduct)):
+    if isinstance(u, BlaschkeProduct):
         return u.evaluate_array
     if callable(u):
         return u
     raise TypeError(f"cannot evaluate symbol of type {type(u).__name__}")
 
 
+def _kernel_density_grid(z, rule: DiskQuadrature) -> np.ndarray:
+    """|k_z|^2 on the rule's nodes as a real (n_radial, n_angular) grid.
+
+    With s = r|z| the denominator is formed as
+    |1 - conj(z) r e^{i theta}|^2 = (1 - s)^2 + 4 s sin^2((theta - arg z)/2),
+    and 1 - s as (1 - r) + r (1 - |z|): no term cancels, where
+    1 + s^2 - 2 s cos(theta - arg z) loses digits next to the rim.
+    """
+    zv = disk_value(z)
+    rho = abs(zv)
+    r = rule.radial_r
+    s = r * rho
+    gap = (1.0 - r) + r * (1.0 - rho)
+    # (theta - arg z) / 2 in units of pi, reduced to [-1/2, 1/2]
+    turns = np.arange(rule.n_angular) / rule.n_angular - np.angle(zv) / (2.0 * np.pi)
+    turns -= np.round(turns)
+    grid = np.multiply.outer(4.0 * s, np.sin(np.pi * turns) ** 2)
+    grid += (gap * gap)[:, None]
+    grid *= grid
+    return np.divide(((1.0 - rho) * (1.0 + rho)) ** 2, grid, out=grid)
+
+
+def _contract_by_frequency(u: MonomialSymbol, density: np.ndarray,
+                           rule: DiskQuadrature) -> complex:
+    """The rule's sum of u |k_z|^2, one angular frequency d = j - k at a time.
+
+    On ring i, sum_jk c_jk r_i^{j+k} e^{i d theta_l} against the density
+    reduces to the ring's Fourier sums sum_l rho_il e^{i d theta_l}; the
+    same finite sum as on the nodes, so aliasing at |d| >= n_angular is
+    unchanged.
+    """
+    n = rule.n_angular
+    radial = {}
+    for (j, k), c in u.coeffs.items():
+        radial[j - k] = radial.get(j - k, 0.0) + c * rule.radial_r ** (j + k)
+    if not radial:
+        return 0j
+    freqs = np.fromiter(radial, dtype=int, count=len(radial))
+    phase = (2.0 * np.pi / n) * (np.multiply.outer(np.arange(n), freqs) % n)
+    fourier = density @ np.cos(phase) + 1j * (density @ np.sin(phase))
+    polys = np.stack(list(radial.values()), axis=1)
+    return complex(np.sum(fourier * polys * (rule.radial_w / n)[:, None]))
+
+
 def berezin_symbol_quadrature(u, z, rule: DiskQuadrature) -> complex:
     """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule.
 
     ``u`` may be a symbol, a pointwise evaluator, or a precomputed array
-    of node values (handy when many z share one symbol).
+    of node values (handy when many z share one symbol).  A polynomial
+    symbol is contracted with the density frequency by frequency; node
+    values meet the real density in real arithmetic.  Both branches share
+    one density grid, so each cross-checks the other.
     """
+    density = _kernel_density_grid(z, rule)
+    if isinstance(u, MonomialSymbol):
+        return _contract_by_frequency(u, density, rule)
     if isinstance(u, np.ndarray) and u.shape == rule.nodes.shape:
         values = u
     else:
         values = np.asarray(_as_evaluator(u)(rule.nodes), dtype=complex)
-    density = normalized_kernel_density(z, rule.nodes)
-    return complex(np.dot(rule.weights, values * density))
+    density *= (rule.radial_w / rule.n_angular)[:, None]
+    weighted = density.ravel()
+    return complex(np.dot(values.real, weighted), np.dot(values.imag, weighted))
+
+
+def _integrate_by_blocks(rule: DiskQuadrature, integrand) -> complex:
+    """rule.integrate(integrand), summed over slices of BLOCK_NODES nodes."""
+    total = 0j
+    for start in range(0, rule.nodes.size, BLOCK_NODES):
+        block = slice(start, start + BLOCK_NODES)
+        total += np.dot(rule.weights[block], integrand(rule.nodes[block]))
+    return complex(total)
 
 
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
@@ -236,8 +303,9 @@ def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
 
     Substituting w = phi_z(v) in the kernel integral leaves
     integral (u o phi_z) dA, an independent route used as a cross-check.
+    It is summed over slices of BLOCK_NODES nodes.
     """
-    return rule.integrate(u.compose_mobius_evaluator(z))
+    return _integrate_by_blocks(rule, u.compose_mobius_evaluator(z))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +394,9 @@ def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> comp
     composed = u.compose_mobius_evaluator(z)
 
     def integrand(w):
-        w = np.asarray(w, dtype=complex)
         return composed(w) * (2.0 * np.abs(w) ** 2 - 1.0)
 
-    return 8.0 * rule.integrate(integrand)
+    return 8.0 * _integrate_by_blocks(rule, integrand)
 
 
 def factored_harmonic_invariant_laplacian(factors, z) -> complex:

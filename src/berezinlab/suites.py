@@ -184,7 +184,9 @@ def measured_moment_table(rule, degree: int) -> np.ndarray:
     for a in range(1, degree + 1):
         powers[a] = powers[a - 1] * rule.nodes
     weighted = powers * rule.weights
-    return weighted @ powers.conj().T
+    # in place: a third array of this size would set the battery's peak memory
+    np.conjugate(powers, out=powers)
+    return weighted @ powers.T
 
 
 @battery("moment-oracle",

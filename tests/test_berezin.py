@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from berezinlab import berezin as bz
+from berezinlab import suites
 from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval, normalized_kernel_density
 from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
+from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
 
 W = MonomialSymbol.identity()
@@ -126,6 +128,62 @@ class TestQuadratureRoute:
         got = bz.berezin_symbol_quadrature(values, 0.25, default_rule)
         assert got == pytest.approx(bz.berezin_symbol_series(MOD2, 0.25), abs=1e-10)
 
+    def test_zero_symbol(self, default_rule):
+        assert bz.berezin_symbol_quadrature(MonomialSymbol(), 0.4j, default_rule) == 0.0
+
+    def test_density_grid_matches_kernel_density(self, default_rule):
+        rng = np.random.default_rng(41)
+        points = [0.0, 0.9, -0.9j] + list(suites.sample_points(rng, 20, 0.9))
+        for z in points:
+            grid = bz._kernel_density_grid(z, default_rule)
+            ref = normalized_kernel_density(z, default_rule.nodes)
+            assert grid.shape == (default_rule.n_radial, default_rule.n_angular)
+            assert np.max(np.abs(grid.ravel() - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("z, tol", [(0.999, 1e-14), (-0.999j, 1e-14),
+                                        (0.999 * np.exp(0.7j), 1e-12)])
+    def test_density_grid_near_rim_against_40_digits(self, default_rule, z, tol):
+        # The whole ring through the worst (largest-density) node.  At a
+        # generic angle the rounding of arg z and |z| alone moves the true
+        # density of the double z by about 1e-13 there.
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(z)
+        grid = bz._kernel_density_grid(z, default_rule)
+        ring = int(np.argmax(grid.max(axis=1)))
+        n = default_rule.n_angular
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(z.real, z.imag)
+            r = mpmath.mpf(float(default_rule.radial_r[ring]))
+            for l in range(n):
+                w = r * mpmath.expjpi(mpmath.mpf(2 * l) / n)
+                exact = (1 - abs(zm) ** 2) ** 2 / abs(1 - mpmath.conj(zm) * w) ** 4
+                assert abs(grid[ring, l] - exact) <= tol * exact
+
+    def test_symbol_branch_matches_node_values(self, default_rule):
+        rng = np.random.default_rng(42)
+        for _ in range(6):
+            u = suites.random_symbol(rng, max_degree=8)
+            values = u.evaluate_array(default_rule.nodes)
+            rim = [r * np.exp(1j * a) for r in (0.99, 0.999) for a in (0.0, 1.3, -2.9)]
+            for z in list(suites.sample_points(rng, 5, 0.9)) + rim:
+                by_symbol = bz.berezin_symbol_quadrature(u, z, default_rule)
+                by_values = bz.berezin_symbol_quadrature(values, z, default_rule)
+                assert abs(by_symbol - by_values) <= 1e-13 * max(1.0, abs(by_values))
+
+    def test_both_branches_alias_alike_on_coarse_rule(self):
+        # frequencies |j - k| >= n_angular fold onto retained ones
+        rule = build_rule(12, 8)
+        for u in (MonomialSymbol({(8, 0): 1.0}),
+                  MonomialSymbol({(9, 1): 1.0, (0, 10): 0.5j}),
+                  MonomialSymbol({(3, 12): 1 - 1j, (8, 0): 0.25, (1, 1): 1.0})):
+            values = u.evaluate_array(rule.nodes)
+            for z in (0.3, 0.5 - 0.2j, -0.6j):
+                by_symbol = bz.berezin_symbol_quadrature(u, z, rule)
+                by_values = bz.berezin_symbol_quadrature(values, z, rule)
+                assert abs(by_symbol - by_values) <= 1e-14
+                assert abs(by_symbol - bz.berezin_symbol_exact(u, z)) > 0.1
+                assert bz.quadrature_flag(rule, z, u.total_degree) == "quadrature-unreliable"
+
     def test_tail_estimate_grows_towards_boundary(self, default_rule):
         inner = bz.quadrature_tail_estimate(default_rule, 0.5, 2)
         outer = bz.quadrature_tail_estimate(default_rule, 0.97, 2)
@@ -147,6 +205,19 @@ class TestMeanValueRoute:
     def test_matches_series_for_modulus(self, default_rule):
         got = bz.mean_value_transform(MOD2, 0.5, default_rule)
         assert got == pytest.approx(bz.berezin_symbol_series(MOD2, 0.5), abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
+    def test_blocks_match_whole_array(self, shape):
+        # 20 480 nodes fill five slices, 5000 end in a partial one and
+        # 3000 fit in one
+        rule = build_rule(*shape)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            u = suites.random_symbol(rng, max_degree=8)
+            for z in (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j)):
+                whole = rule.integrate(u.compose_mobius_evaluator(z))
+                got = bz.mean_value_transform(u, z, rule)
+                assert abs(got - whole) <= 1e-15 * max(1.0, abs(whole))
 
 
 class TestProducts:
@@ -227,6 +298,16 @@ class TestLaplacians:
             lhs = bz.harmonic_defect_integral(u, z, default_rule)
             rhs = bz.invariant_laplacian(field, z)
             assert lhs == pytest.approx(rhs, abs=1e-5)
+
+    def test_defect_integral_blocks_match_whole_array(self, default_rule):
+        u = MonomialSymbol({(1, 1): 0.5, (2, 0): 0.3j, (0, 3): -1.0})
+        for z in (0.0, 0.4, 0.3 + 0.4j, -0.99j):
+            composed = u.compose_mobius_evaluator(z)
+            whole = 8.0 * default_rule.integrate(
+                lambda w: composed(w) * (2.0 * np.abs(w) ** 2 - 1.0))
+            got = bz.harmonic_defect_integral(u, z, default_rule)
+            # the integrand is up to 8 * 2.5 in size and cancels to 3e-3
+            assert abs(got - whole) <= 1e-14
 
     def test_factored_laplacian(self):
         u = MonomialSymbol({(1, 0): 1.0, (0, 1): 1.0})
