@@ -30,18 +30,25 @@ BASIS = "orthonormal-monomial"  # the basis the JSON wire format names
 
 
 class TruncatedOperator:
-    """An N x N complex matrix in the orthonormal monomial basis."""
+    """An N x N read-only complex matrix in the orthonormal monomial basis."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex, order="C")
+        m = np.array(matrix, dtype=complex, order="C")  # the caller keeps its array
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        self.matrix = self._adopt(m).matrix
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray, finite: bool = False) -> "TruncatedOperator":
+        """Keep, uncopied, an array the package built; ``finite`` skips the inf/nan scan."""
+        if not finite and not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
         m.setflags(write=False)
-        self.matrix = m
+        op = object.__new__(cls)
+        op.matrix = m
+        return op
 
     @property
     def dim(self) -> int:
@@ -56,26 +63,26 @@ class TruncatedOperator:
 
     def __add__(self, other):
         self._check_dim(other)
-        return TruncatedOperator(self.matrix + other.matrix)
+        return TruncatedOperator._adopt(self.matrix + other.matrix)
 
     def __sub__(self, other):
         self._check_dim(other)
-        return TruncatedOperator(self.matrix - other.matrix)
+        return TruncatedOperator._adopt(self.matrix - other.matrix)
 
     def __matmul__(self, other):
         self._check_dim(other)
-        return TruncatedOperator(self.matrix @ other.matrix)
+        return TruncatedOperator._adopt(self.matrix @ other.matrix)
 
     def __mul__(self, scalar):
-        return TruncatedOperator(complex(scalar) * self.matrix)
+        return TruncatedOperator._adopt(complex(scalar) * self.matrix)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TruncatedOperator(-self.matrix)
+        return TruncatedOperator._adopt(-self.matrix)
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.matrix.conj().T)
+        return TruncatedOperator._adopt(np.conjugate(self.matrix.T, order="C"))
 
     def norm_fro(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -87,7 +94,8 @@ class TruncatedOperator:
     def leading_block(self, n: int) -> "TruncatedOperator":
         if not 1 <= n <= self.dim:
             raise ValueError(f"block size {n} out of range for dim {self.dim}")
-        return TruncatedOperator(self.matrix[:n, :n])
+        # a copy, so that the block does not keep the whole matrix alive
+        return TruncatedOperator._adopt(self.matrix[:n, :n].copy())
 
     # -- wire format ------------------------------------------------------
 
@@ -123,7 +131,7 @@ def toeplitz_exact(u: MonomialSymbol, dim: int) -> TruncatedOperator:
     for offset, lo, values in _toeplitz_diagonals(u, dim):
         p = np.arange(lo, lo + len(values))
         m[p + offset, p] += values
-    return TruncatedOperator(m)
+    return TruncatedOperator._adopt(m)
 
 
 def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
@@ -174,7 +182,7 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
         p = np.arange(max(0, -offset), min(dim, dim - offset))
         q = p + offset
         m[q, p] = scale[p] * scale[q] * (fourier @ weighted[:, 2 * p + offset])
-    return TruncatedOperator(m)
+    return TruncatedOperator._adopt(m)
 
 
 def toeplitz_analytic(coeffs: np.ndarray, dim: int) -> TruncatedOperator:
@@ -191,7 +199,7 @@ def toeplitz_analytic(coeffs: np.ndarray, dim: int) -> TruncatedOperator:
             continue
         p = np.arange(0, dim - offset)
         m[p + offset, p] = coeffs[offset] * root[p] / root[p + offset]
-    return TruncatedOperator(m)
+    return TruncatedOperator._adopt(m)
 
 
 def unitary_uz(z, dim: int) -> TruncatedOperator:
@@ -203,11 +211,13 @@ def unitary_uz(z, dim: int) -> TruncatedOperator:
     O(dim^2) operations whatever |z| is.  U_z exchanges the constants
     with -k_z and squares to the identity; both survive compression up
     to geometric tails.  U_z is Hermitian and U_conj(z) its entrywise
-    conjugate, so U_conj(z)'s stored columns are U_z's rows: no transpose.
+    conjugate, so U_conj(z)'s stored columns are U_z's rows, kept uncopied
+    unless padded, and unscanned: a compressed unitary's entries are <= 1.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return TruncatedOperator(_uz_columns(disk_value(z).conjugate(), dim, dim).T)
+    rows = _uz_columns(disk_value(z).conjugate(), dim, dim).T
+    return TruncatedOperator._adopt(np.ascontiguousarray(rows), finite=True)
 
 
 def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
@@ -279,17 +289,26 @@ COVARIANT_MAX_ROWS = 4096
 
 
 def _covariant_rows(r: float, dim: int) -> int:
-    """Rows past which every one of the first ``dim`` U_z columns is negligible.
+    """Rows past which the first ``dim`` U_z columns have 2-norm tails below 1e-17.
 
-    Column p spreads over modes up to p(1+r)/(1-r) with r = |z|, and its
-    tail then decays like r^n; the size doubles the spread and adds the
-    steps r^n needs to reach 1e-16.  U_0 is diagonal, so r = 0 needs no
-    extra rows.
+    Column p, sqrt(p+1) phi_z^p phi_z', is analytic on |w| < 1/r, r = |z|.
+    On |w| = R in (1, 1/r), |phi_z| <= g = (R-r)/(1-rR) and phi_z' has
+    mean square (1-r^2)^2 (1+rho^2)/(1-rho^2)^3, rho = rR, so by Parseval
+    the tail beyond row M is at most B R^-M / sqrt(M+1), B = sqrt(p+1) g^p
+    ||phi_z'||_R, worst at p = dim-1.  M is the least size with M log R +
+    log(M+1)/2 >= L = log(B / 1e-17) for some R = r^-s on a fixed grid.
     """
     if r == 0.0:
-        return dim
-    spread = math.ceil(dim * (1.0 + r) / (1.0 - r))
-    return 2 * spread + math.ceil(math.log(1e-16) / math.log(r))
+        return dim  # U_0 is diagonal
+    s = (np.arange(40) + 0.5) / 40
+    log_big = -s * math.log(r)  # log R; R itself may overflow for tiny r
+    rho = r ** (1.0 - s)
+    log_g = log_big + np.log1p(-r ** (1.0 + s)) - np.log1p(-rho)
+    L = (0.5 * math.log(dim) + (dim - 1) * log_g + math.log1p(-r * r)
+         + 0.5 * np.log1p(rho ** 2) - 1.5 * np.log1p(-rho ** 2) - math.log(1e-17))
+    m = L / log_big  # enough; a step from it lands at or below the least M
+    m = (L - 0.5 * np.log1p(m)) / log_big  # a step from there rounds up to enough
+    return int(np.ceil((L - 0.5 * np.log1p(m)) / log_big).min())
 
 
 def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
@@ -299,11 +318,11 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
     symbols; the composition itself is rational and never materializes.
     Unlike plain compression, which multiplies dim x dim truncations of
     U_z and T_u, the route compresses from a faithful working size: it
-    builds the first ``dim`` columns V of U_z out to M rows, chosen so
-    their tails beyond M are negligible, and returns V^H (T_u V) with
-    T_u applied by its diagonals, each one slice-times-slice product over
-    the stored columns.  Raises ValueError, before building
-    anything, when M would exceed COVARIANT_MAX_ROWS.
+    builds the first ``dim`` columns V of U_z out to M rows, past which a
+    proved bound (``_covariant_rows``) puts their tails under 1e-17, and
+    returns V^H (T_u V) with T_u applied by its diagonals, each one
+    slice-times-slice product over the stored columns.  Raises
+    ValueError, before building anything, when M would exceed COVARIANT_MAX_ROWS.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -319,7 +338,7 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
     for offset, lo, values in _toeplitz_diagonals(u, rows):
         n = len(values)
         tv[:, lo + offset:lo + offset + n] += values * v[:, lo:lo + n]
-    return TruncatedOperator(v.conj() @ tv.T)
+    return TruncatedOperator._adopt(v.conj() @ tv.T)
 
 
 def semicommutator_defect(u: MonomialSymbol, v: MonomialSymbol,

@@ -290,6 +290,13 @@ class TestCommutatorCommand:
         assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--pad", "-5"]) == 2
         assert capsys.readouterr().err == "error: pad must be >= 0\n"
 
+    def test_overflowing_product_rejected(self, capsys):
+        # the 1e400 entries of T_f^* T_g overflow the matrix product
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["commutator", "--f", "1,0:1e200", "--g", "1,0:1e200",
+                        "--trunc", "8"]) == 2
+        assert capsys.readouterr().err == "error: operator entries must be finite\n"
+
     def test_csv_profiles(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run(["commutator", "--f", "1,0:1", "--g", "1,0:1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,23 @@ def uz_columns_by_convolution(z, rows, cols):
     return want
 
 
+def toeplitz_times(u, v):
+    """Reference T_u v for a column block v, straight from the entry formula."""
+    rows = v.shape[0]
+    out = np.zeros_like(v)
+    for (j, k), c in u.coeffs.items():
+        p = np.arange(max(0, k - j), min(rows, rows - j + k))
+        q = p + j - k
+        out[q] += (c * np.sqrt((p + 1.0) * (q + 1.0)) / (j + p + 1.0))[:, None] * v[p]
+    return out
+
+
+def old_working_rows(r, dim):
+    """The working size before the tail bound: twice the spread plus r^n steps."""
+    spread = math.ceil(dim * (1.0 + r) / (1.0 - r))
+    return 2 * spread + math.ceil(math.log(1e-16) / math.log(r))
+
+
 class TestTruncatedOperator:
     def test_validates_shape_and_finiteness(self):
         with pytest.raises(ValueError):
@@ -86,6 +105,44 @@ class TestTruncatedOperator:
     def test_json_rejects_other_basis(self):
         with pytest.raises(ValueError):
             TruncatedOperator.from_json_dict({"dim": 1, "basis": "raw", "entries": [[[1, 0]]]})
+
+    def test_json_rejects_nan(self):
+        payload = {"dim": 2, "basis": "orthonormal-monomial",
+                   "entries": [[[1, 0], [0, 0]], [[0, float("nan")], [1, 0]]]}
+        with pytest.raises(ValueError, match="must be finite"):
+            TruncatedOperator.from_json_dict(payload)
+
+    def test_constructor_neither_freezes_nor_aliases_input(self):
+        m = np.arange(9, dtype=complex).reshape(3, 3)
+        op = TruncatedOperator(m)
+        assert m.flags.writeable
+        assert not np.shares_memory(op.matrix, m)
+        m[0, 0] = 7.0
+        assert op.matrix[0, 0] == 0.0
+
+    def test_results_are_read_only(self, default_rule):
+        rng = np.random.default_rng(13)
+        a = TruncatedOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        b = TruncatedOperator(rng.normal(size=(4, 4)))
+        results = [a, a + b, a - b, a @ b, 2.0 * a, a * 1j, -a, a.adjoint(),
+                   a.leading_block(2), toeplitz_exact(MOD2, 4),
+                   toeplitz_quadrature(MOD2.evaluate_array, 4, default_rule),
+                   toeplitz_analytic(np.ones(4), 4), unitary_uz(0.3j, 4),
+                   covariant_toeplitz(MOD2, 0.3j, 4)]
+        for op in results:
+            with pytest.raises(ValueError, match="read-only"):
+                op.matrix[0, 0] = 1.0
+        assert a.adjoint().matrix.flags.c_contiguous
+        assert np.array_equal(a.adjoint().matrix, a.matrix.conj().T)
+
+    def test_overflowing_results_rejected(self):
+        big = TruncatedOperator(np.full((2, 2), 1e200))
+        huge = TruncatedOperator(np.full((2, 2), 1.5e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for make in (lambda: big @ big, lambda: huge + huge,
+                         lambda: huge - (-huge), lambda: 1e200 * big):
+                with pytest.raises(ValueError, match="must be finite"):
+                    make()
 
 
 class TestToeplitzExact:
@@ -204,7 +261,7 @@ class TestUnitary:
 
     @pytest.mark.parametrize("z, rows, cols", [
         # dim-64 working sizes of covariant_toeplitz at |z| = 0.5 and 0.9
-        (0.5, 438, 64), (0.9, 2784, 64),
+        (0.5, 313, 64), (0.9, 2012, 64),
         (0.4 - 0.3j, 1, 1), (0.4 - 0.3j, 2, 2), (0.4 - 0.3j, 7, 1),
         (0.4 - 0.3j, 1, 7), (0.4 - 0.3j, 2, 9), (0.4 - 0.3j, 9, 2)])
     def test_column_block_matches_convolution(self, z, rows, cols):
@@ -228,6 +285,13 @@ class TestUnitary:
             assert got.shape == (rows, cols)
             want = uz_columns_by_convolution(z, rows, cols)
             assert np.max(np.abs(got - want)) < 1e-12, (rows, cols)
+
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.9, 0.999])
+    def test_entries_bounded_by_one(self, r):
+        # the build skips the finiteness scan on the strength of this bound
+        u = unitary_uz(r * np.exp(2.3j), 256).matrix
+        assert np.all(np.isfinite(u))
+        assert np.max(np.abs(u)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
     def test_self_adjoint_at_256(self, r):
@@ -262,14 +326,40 @@ class TestCovariantRoute:
             assert (lhs - rhs).norm_fro() < 1e-10
 
     def test_offsets_below_and_beyond_the_working_block(self):
-        # offsets -2 and +-70, the latter at least the 65 working rows of
+        # offsets -2 and +-70, the latter beyond the 61 working rows of
         # z = 0.3+0.1j, dim 8; the reference applies the dense T_u
         u = MonomialSymbol.from_string("1,0:1;0,2:0.5-0.25i;70,0:2;0,70:1i;1,1:-1")
         z, dim = 0.3 + 0.1j, 8
         rows = operators._covariant_rows(abs(z), dim)
-        assert rows == 65
+        assert rows == 61
         v = operators._uz_columns(z, rows, dim)
         want = v.conj().T @ toeplitz_exact(u, rows).matrix @ v
+        got = covariant_toeplitz(u, z, dim).matrix
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("r", [1e-5, 0.05, 0.3, 0.6, 0.9, 0.95])
+    def test_working_size_bounds_the_tails(self, r):
+        for angle in (0.0, 0.7, 2.5):
+            z = r * np.exp(1j * angle)
+            for dim in (8, 33, 128):
+                rows = operators._covariant_rows(r, dim)
+                v = operators._uz_columns(z, int(1.5 * rows), dim)
+                tail = np.max(np.linalg.norm(v[rows:], axis=0))
+                assert tail < 1e-17, (angle, dim, rows, tail)
+
+    def test_working_size_within_the_old_formula(self):
+        for r in np.r_[1e-5, np.linspace(0.01, 0.95, 95)]:
+            for dim in range(8, 129):
+                assert operators._covariant_rows(r, dim) <= old_working_rows(r, dim), (r, dim)
+
+    def test_reaches_dim_128_at_0_9(self):
+        # 3398 working rows now; the old formula asked for 5216, above the
+        # ceiling, and serves as the reference size
+        u = MonomialSymbol.from_string("1,0:1;0,2:0.5-0.25i;1,1:-1;2,1:0.3i")
+        z, dim = 0.9 * np.exp(0.7j), 128
+        assert old_working_rows(0.9, dim) == 5216
+        v = operators._uz_columns(z, 5216, dim)
+        want = v.conj().T @ toeplitz_times(u, v)
         got = covariant_toeplitz(u, z, dim).matrix
         assert np.max(np.abs(got - want)) < 1e-14
 
