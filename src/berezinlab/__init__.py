@@ -19,10 +19,9 @@ from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
                       laplacian_berezin_at_zero_symbol, laplacian_fd,
                       localization_norm, mean_value_transform,
                       operator_tail_bound)
-from .diskgeom import (DiskDomainError, DiskPoint, bergman_kernel, disk_value,
-                       mobius_deriv, mobius_eval, normalized_kernel)
+from .diskgeom import DiskDomainError, DiskPoint, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
-                        commutator, covariant_toeplitz, semicommutator_defect,
+                        covariant_toeplitz, semicommutator_defect,
                         toeplitz_analytic, toeplitz_exact, toeplitz_quadrature,
                         unitary_uz)
 from .quadrature import (DiskQuadrature, QuadratureWarning, build_rule,

@@ -37,7 +37,8 @@ import numpy as np
 from .diskgeom import DISK_RADIUS_MAX, DiskDomainError, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
-from .quadrature import DiskQuadrature, build_rule, monomial_moment
+from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
+                         build_rule, monomial_moment)
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
@@ -61,8 +62,8 @@ class BerezinConfig:
 
     truncation: int = 64
     series_tol: float = 1e-12
-    n_radial: int = 80
-    n_angular: int = 256
+    n_radial: int = DEFAULT_N_RADIAL
+    n_angular: int = DEFAULT_N_ANGULAR
 
     def __post_init__(self):
         if self.truncation < 8:
@@ -74,7 +75,7 @@ class BerezinConfig:
         return cached_rule(self.n_radial, self.n_angular)
 
 
-DEFAULT_CONFIG = BerezinConfig()
+DEFAULT_CONFIG = BerezinConfig()  # the CLI's and the functions' defaults read it
 
 
 @lru_cache(maxsize=8)
@@ -114,7 +115,8 @@ def operator_flag(dim: int, z) -> str:
 # series route
 # ---------------------------------------------------------------------------
 
-def berezin_symbol_series(u: MonomialSymbol, z, tol: float = 1e-12) -> complex:
+def berezin_symbol_series(u: MonomialSymbol, z,
+                          tol: float = DEFAULT_CONFIG.series_tol) -> complex:
     """Berezin transform of a polynomial symbol by its power series.
 
     Linear over the symbol's terms; each monomial series is summed in
@@ -176,18 +178,25 @@ def _monomial_exact(j: int, k: int, zv: complex, t: float) -> complex:
 
 
 def _phi_sum(j: int, t: float) -> float:
-    """sum_{m>=0} t^m / (m+j+1), stable on both halves of [0, 1)."""
-    if t < 0.5:
-        acc, m, term = 0.0, 0, 1.0
-        while True:
-            contrib = term / (m + j + 1)
-            acc += contrib
-            if contrib < 1e-18:
-                return acc
-            m += 1
-            term *= t
-    head = sum(t ** i / i for i in range(1, j + 1))
-    return (-math.log1p(-t) - head) / t ** (j + 1)
+    """sum_{m>=0} t^m / (m+j+1), stable on both halves of [0, 1).
+
+    From t = 0.5 on it is (-log(1-t) less its first j terms) / t^(j+1),
+    unless subtracting those terms cancels over three digits; then, as
+    below 0.5, it is summed term by term.
+    """
+    if t >= 0.5:
+        log_sum = -math.log1p(-t)
+        head = sum(t ** i / i for i in range(1, j + 1))
+        if log_sum - head >= 1e-3 * log_sum:
+            return (log_sum - head) / t ** (j + 1)
+    acc, m, term = 0.0, 0, 1.0
+    while True:
+        contrib = term / (m + j + 1)
+        acc += contrib
+        if contrib < 1e-18:
+            return acc
+        m += 1
+        term *= t
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +223,6 @@ def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
     if quadrature_tail_estimate(rule, z, symbol_degree) > RELIABILITY_TOL:
         return "quadrature-unreliable"
     return ""
-
-
-def _as_evaluator(u):
-    if isinstance(u, BlaschkeProduct):
-        return u.evaluate_array
-    if callable(u):
-        return u
-    raise TypeError(f"cannot evaluate symbol of type {type(u).__name__}")
 
 
 def _kernel_density_grid(z, rule: DiskQuadrature) -> np.ndarray:
@@ -271,22 +272,21 @@ def _contract_by_frequency(u: MonomialSymbol, density: np.ndarray,
 def berezin_symbol_quadrature(u, z, rule: DiskQuadrature) -> complex:
     """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule.
 
-    ``u`` may be a symbol, a pointwise evaluator, or a precomputed array
-    of node values (handy when many z share one symbol).  A polynomial
-    symbol is contracted with the density frequency by frequency; node
-    values meet the real density in real arithmetic.  Both branches share
-    one density grid, so each cross-checks the other.
+    ``u`` is a polynomial symbol, contracted with the density frequency by
+    frequency, or an array of its values on ``rule.nodes`` (handy when many
+    z share one symbol), met with the real density in real arithmetic;
+    anything else raises TypeError.  Both branches share one density grid,
+    so each cross-checks the other.
     """
     density = _kernel_density_grid(z, rule)
     if isinstance(u, MonomialSymbol):
         return _contract_by_frequency(u, density, rule)
-    if isinstance(u, np.ndarray) and u.shape == rule.nodes.shape:
-        values = u
-    else:
-        values = np.asarray(_as_evaluator(u)(rule.nodes), dtype=complex)
+    if not (isinstance(u, np.ndarray) and u.shape == rule.nodes.shape):
+        raise TypeError(f"expected a MonomialSymbol or an array of {rule.nodes.size}"
+                        f" node values, got {type(u).__name__}")
     density *= (rule.radial_w / rule.n_angular)[:, None]
     weighted = density.ravel()
-    return complex(np.dot(values.real, weighted), np.dot(values.imag, weighted))
+    return complex(np.dot(u.real, weighted), np.dot(u.imag, weighted))
 
 
 def _integrate_by_blocks(rule: DiskQuadrature, integrand) -> complex:
@@ -524,7 +524,8 @@ class CommutatorReport:
     deriv_profile samples (1-|z|^2)^2 |f'(z) g'(z)|; berezin_profile
     samples |transform of the truncated defect| with truncation flags;
     zero_samples hold the derivative quantity at supplied Blaschke
-    zeros, whose floor staying positive indicates non-decay.
+    zeros.  Those zeros are interior points, so their floor and peak
+    say nothing about decay at the boundary.
     """
 
     inputs: dict
@@ -553,7 +554,8 @@ def _describe(f) -> dict:
     return {"kind": "symbol", "terms": f.to_string()}
 
 
-def commutator_compactness_indicator(f, g, radii=None, dim: int = 64,
+def commutator_compactness_indicator(f, g, radii=None,
+                                     dim: int = DEFAULT_CONFIG.truncation,
                                      path: PathSpec = PathSpec(),
                                      threshold: float = 1e-3,
                                      pad: int | None = None) -> CommutatorReport:

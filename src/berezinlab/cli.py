@@ -6,9 +6,9 @@ and its report embeds those with the numerical policy it uses.  Floats
 have 12 significant digits and ordering is fixed, so output is
 deterministic given the arguments.
 
-Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``
-included), 3 reliability flag raised under ``--strict``, 4 invariant
-failure in suites, 5 numerical failure.
+Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``,
+``--nr`` or ``--ntheta`` included), 3 reliability flag raised under
+``--strict``, 4 invariant failure in suites, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import berezin as bz
-from .operators import BASIS, toeplitz_exact, toeplitz_quadrature, unitary_uz
+from .operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
 from .suites import BATTERIES, run_batteries
 from .symbols import (BlaschkeProduct, MonomialSymbol, parse_blaschke_zeros,
                       parse_complex)
@@ -31,7 +31,7 @@ EXIT_RELIABILITY = 3
 EXIT_INVARIANT = 4
 EXIT_NUMERICAL = 5
 
-# Largest dense complex matrix a command may build, checked before it is built.
+# Largest array a command may build, checked before it is built.
 MATRIX_BUDGET_BYTES = 16 * 4096 ** 2
 
 ROUTE_ORDER = ("series", "quadrature", "operator")
@@ -105,23 +105,37 @@ def _dump_config(args) -> dict:
 
 
 def _check_matrix_budget(args) -> None:
-    """Refuse a --trunc whose N x N (commutator: N + pad) matrix exceeds the budget."""
+    """Refuse sizes whose largest arrays would exceed the budget, before building.
+
+    They are the N x N matrix (commutator: N + pad) and, where a rule is
+    built, leggauss's nr x nr companion and the nodes; identity-suite also
+    doubles the rule and tabulates 41 rows of nodes (moment-oracle).
+    Negative sizes are left to fail later with their own errors.
+    """
     n, pad = getattr(args, "trunc", 0), getattr(args, "pad", 0)
     n += n if pad is None else pad
-    need = 16 * max(n, 0) ** 2  # a negative size fails later with its own error
-    if need > MATRIX_BUDGET_BYTES:
-        raise CLIError(f"a {n} x {n} complex matrix needs {need:,} bytes, "
-                       f"over the {MATRIX_BUDGET_BYTES:,}-byte budget")
+    arrays = [(f"a {n} x {n} complex matrix", 16 * max(n, 0) ** 2)]
+    if (args.command == "identity-suite" or getattr(args, "quadrature", False)
+            or getattr(args, "route", "") in ("quadrature", "all")):
+        nr, rows, nodes = args.nr, 1, max(args.nr, 0) * max(args.ntheta, 0)
+        if args.command == "identity-suite":
+            nr, rows = 2 * nr, 41
+        arrays += [(f"a {nr} x {nr} companion matrix", 8 * max(nr, 0) ** 2),
+                   (f"a {rows} x {nodes} complex node table", 16 * rows * nodes)]
+    for what, need in arrays:
+        if need > MATRIX_BUDGET_BYTES:
+            raise CLIError(f"{what} needs {need:,} bytes, "
+                           f"over the {MATRIX_BUDGET_BYTES:,}-byte budget")
 
 
 def _write_matrix(op, inputs: dict, args) -> int:
-    """Matrix dumps: the operator's JSON form plus inputs and configuration.
+    """Matrix dumps: the entries, basis and dim plus inputs and configuration.
 
     The text is that of json.dumps as in ``_emit``, but the entries are
     formatted and written row by row, never as one nested list.
     """
-    payload = {"basis": BASIS, "dim": op.dim, "entries": [], "inputs": inputs,
-               "config": _dump_config(args)}
+    payload = {"basis": "orthonormal-monomial", "dim": op.dim, "entries": [],
+               "inputs": inputs, "config": _dump_config(args)}
     text = json.dumps(_roundtrip(payload), indent=2, sort_keys=True)
     head, _, tail = text.partition('"entries": []')
 
@@ -167,7 +181,7 @@ def cmd_berezin(args) -> int:
     symbol = _parse_symbol(args.symbol)
     zs = _parse_z_list(args.z)
     routes = ROUTE_ORDER if args.route == "all" else (args.route,)
-    rule = cfg.rule()
+    rule = cfg.rule() if "quadrature" in routes else None
     operator = toeplitz_exact(symbol, cfg.truncation) if "operator" in routes else None
 
     results = []
@@ -351,10 +365,13 @@ def cmd_decay(args) -> int:
 SHARED_OPTIONS = {
     "out": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("csv", "json"), default="json"),
-    "trunc": dict(type=int, default=64, help="matrix truncation N"),
-    "nr": dict(type=int, default=80, help="radial rule size"),
-    "ntheta": dict(type=int, default=256, help="angular rule size"),
-    "tol": dict(type=float, default=1e-12, help="series tolerance"),
+    "trunc": dict(type=int, default=bz.DEFAULT_CONFIG.truncation,
+                  help="matrix truncation N"),
+    "nr": dict(type=int, default=bz.DEFAULT_CONFIG.n_radial, help="radial rule size"),
+    "ntheta": dict(type=int, default=bz.DEFAULT_CONFIG.n_angular,
+                   help="angular rule size"),
+    "tol": dict(type=float, default=bz.DEFAULT_CONFIG.series_tol,
+                help="series tolerance"),
     "strict": dict(action="store_true",
                    help="exit 3 when any reliability flag is raised"),
 }

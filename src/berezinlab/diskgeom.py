@@ -1,4 +1,4 @@
-"""Closed-form disk geometry: Mobius automorphisms and Bergman kernels.
+"""Closed-form disk geometry: the domain check and the Mobius automorphisms.
 
 Everything in this module is an exact formula evaluated in double
 precision.  The open unit disk D carries the normalized area measure
@@ -69,33 +69,3 @@ def mobius_eval(z, w) -> complex:
     """
     zv, wv = disk_value(z), disk_value(w)
     return (zv - wv) / (1.0 - zv.conjugate() * wv)
-
-
-def mobius_deriv(z, w) -> complex:
-    """Complex derivative of phi_z at w: (|z|^2 - 1) / (1 - conj(z) w)^2."""
-    zv, wv = disk_value(z), disk_value(w)
-    return (abs(zv) ** 2 - 1.0) / (1.0 - zv.conjugate() * wv) ** 2
-
-
-def bergman_kernel(z, w) -> complex:
-    """Reproducing kernel K_z(w) = 1 / (1 - conj(z) w)^2."""
-    zv, wv = disk_value(z), disk_value(w)
-    return 1.0 / (1.0 - zv.conjugate() * wv) ** 2
-
-
-def normalized_kernel(z, w) -> complex:
-    """Unit-norm kernel k_z(w) = (1 - |z|^2) / (1 - conj(z) w)^2."""
-    zv, wv = disk_value(z), disk_value(w)
-    return (1.0 - abs(zv) ** 2) / (1.0 - zv.conjugate() * wv) ** 2
-
-
-def normalized_kernel_density(z, w: np.ndarray) -> np.ndarray:
-    """|k_z|^2 evaluated on an array of points (no per-point validation).
-
-    This is the density against which the Berezin transform integrates:
-    (1 - |z|^2)^2 / |1 - conj(z) w|^4.
-    """
-    zv = disk_value(z)
-    w = np.asarray(w, dtype=complex)
-    denom = np.abs(1.0 - zv.conjugate() * w) ** 4
-    return (1.0 - abs(zv) ** 2) ** 2 / denom

@@ -26,9 +26,6 @@ from .quadrature import DiskQuadrature, check_rule_for_degree
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 
-BASIS = "orthonormal-monomial"  # the basis the JSON wire format names
-
-
 class TruncatedOperator:
     """An N x N read-only complex matrix in the orthonormal monomial basis."""
 
@@ -97,27 +94,6 @@ class TruncatedOperator:
         # a copy, so that the block does not keep the whole matrix alive
         return TruncatedOperator._adopt(self.matrix[:n, :n].copy())
 
-    # -- wire format ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        entries = [[[v.real, v.imag] for v in row] for row in self.matrix]
-        return {"dim": self.dim, "basis": BASIS, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TruncatedOperator":
-        if payload.get("basis") != BASIS:
-            raise ValueError(f"unsupported basis {payload.get('basis')!r}")
-        dim = int(payload["dim"])
-        entries = payload["entries"]
-        if len(entries) != dim or any(len(row) != dim for row in entries):
-            raise ValueError("entry table does not match declared dim")
-        m = np.array([[complex(re, im) for re, im in row] for row in entries])
-        return cls(m)
-
-
-def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    return a @ b - b @ a
-
 
 def toeplitz_exact(u: MonomialSymbol, dim: int) -> TruncatedOperator:
     """Compression of the Toeplitz operator with polynomial symbol u.
@@ -150,7 +126,7 @@ def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
 
 
 def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
-                        degree_hint: int = 0, warn: bool = True) -> TruncatedOperator:
+                        degree_hint: int = 0) -> TruncatedOperator:
     """Compression of T_f for a pointwise symbol evaluator, by quadrature.
 
     Entries <f e_p, e_q> are angular Fourier coefficients times radial
@@ -161,14 +137,10 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if warn:
-        check_rule_for_degree(rule, 2 * (dim - 1) + degree_hint)
+    check_rule_for_degree(rule, 2 * (dim - 1) + degree_hint)
 
     grid = rule.node_grid()
-    if callable(f):
-        values = np.asarray(f(grid.ravel()), dtype=complex).reshape(grid.shape)
-    else:
-        values = np.asarray(f, dtype=complex).reshape(grid.shape)
+    values = np.asarray(f(grid.ravel()), dtype=complex).reshape(grid.shape)
 
     # hat_f[i, l] ~ (1/2pi) int f(r_i e^{i th}) e^{-i l th} dth
     hat_f = np.fft.fft(values, axis=1) / rule.n_angular
@@ -383,6 +355,6 @@ def analytic_commutator_defect(f, g, dim: int, pad: int | None = None) -> Trunca
         raise TypeError(f"unsupported analytic symbol {type(h).__name__}")
 
     big = dim + pad
-    t_f = toeplitz_analytic(taylor_of(f, big), big)
+    t_f = toeplitz_analytic(taylor_of(f, big), big).adjoint()
     t_g = toeplitz_analytic(taylor_of(g, big), big)
-    return commutator(t_f.adjoint(), t_g).leading_block(dim)
+    return (t_f @ t_g - t_g @ t_f).leading_block(dim)

@@ -220,7 +220,7 @@ def battery_rule_doubling(cfg):
 
 def composed_block(u: MonomialSymbol, z, rule, block: int) -> TruncatedOperator:
     """T_{u o phi_z} on the leading block, by quadrature (never touches U_z)."""
-    return toeplitz_quadrature(u.compose_mobius_evaluator(z), block, rule, warn=False)
+    return toeplitz_quadrature(u.compose_mobius_evaluator(z), block, rule)
 
 
 def plain_compression_residuals(u: MonomialSymbol, z, dims, rule,
@@ -327,7 +327,7 @@ def battery_unitary_orthonormality(cfg):
 # ---------------------------------------------------------------------------
 
 def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points, dim: int,
-                            series_tol: float = 1e-12) -> float:
+                            series_tol: float = bz.DEFAULT_CONFIG.series_tol) -> float:
     """Worst |(uv)~ - uv - (T_uv - T_u T_v)~| over points, at truncation dim."""
     defect = semicommutator_defect(u, v, dim)
     worst = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from berezinlab import berezin as bz
 from berezinlab import suites
-from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval, normalized_kernel_density
+from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval
 from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
 from berezinlab.quadrature import build_rule
@@ -15,6 +15,11 @@ W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
 MOD2 = MonomialSymbol.monomial(1, 1)
 ONE = MonomialSymbol.constant(1.0)
+
+
+def kernel_density(z, w):
+    """|k_z(w)|^2 = (1 - |z|^2)^2 / |1 - conj(z) w|^4, the direct formula."""
+    return (1 - abs(z) ** 2) ** 2 / np.abs(1 - np.conj(z) * w) ** 4
 
 
 class TestConfig:
@@ -102,6 +107,17 @@ class TestExactRoute:
         val = bz.berezin_symbol_exact(MOD2, r)
         assert val.real == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("j,k", [(30, 30), (40, 40), (40, 10), (10, 40)])
+    def test_high_degree_keeps_its_digits(self, j, k):
+        # Past |z|^2 = 0.5 the log series less its first j terms cancels
+        # once that tail is small: w^40 conj(w)^40 kept no correct digit at
+        # |z| = 0.72 and two at 0.75.
+        u = MonomialSymbol({(j, k): 1.0})
+        for r in (0.72, 0.75, 0.8, 0.9):
+            for z in (r, r * np.exp(1.1j)):
+                want = bz.berezin_symbol_series(u, z, tol=1e-16)
+                assert abs(bz.berezin_symbol_exact(u, z) - want) <= 1e-12 * abs(want)
+
 
 class TestQuadratureRoute:
     def test_constant(self, default_rule):
@@ -131,12 +147,19 @@ class TestQuadratureRoute:
     def test_zero_symbol(self, default_rule):
         assert bz.berezin_symbol_quadrature(MonomialSymbol(), 0.4j, default_rule) == 0.0
 
+    def test_other_inputs_rejected(self, default_rule):
+        values = MOD2.evaluate_array(default_rule.nodes)
+        for bad in (MOD2.evaluate_array, BlaschkeProduct((0.5,)), values[:-1],
+                    values.reshape(default_rule.n_radial, -1)):
+            with pytest.raises(TypeError, match="MonomialSymbol or an array"):
+                bz.berezin_symbol_quadrature(bad, 0.3, default_rule)
+
     def test_density_grid_matches_kernel_density(self, default_rule):
         rng = np.random.default_rng(41)
         points = [0.0, 0.9, -0.9j] + list(suites.sample_points(rng, 20, 0.9))
         for z in points:
             grid = bz._kernel_density_grid(z, default_rule)
-            ref = normalized_kernel_density(z, default_rule.nodes)
+            ref = kernel_density(z, default_rule.nodes)
             assert grid.shape == (default_rule.n_radial, default_rule.n_angular)
             assert np.max(np.abs(grid.ravel() - ref) / ref) <= 1e-13
 
@@ -346,7 +369,7 @@ class TestLocalization:
         u = MonomialSymbol({(1, 0): 1.0, (1, 1): -0.5})
         values = u.evaluate_array(default_rule.nodes)
         for z in (0.6, 0.3 + 0.5j, 0.9):
-            density = normalized_kernel_density(z, default_rule.nodes)
+            density = kernel_density(z, default_rule.nodes)
             square = np.dot(default_rule.weights, np.abs(values - u.evaluate(z)) ** 2 * density)
             assert bz.localization_norm(u, z) == pytest.approx(math.sqrt(square), abs=1e-10)
 

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berezinlab import cli
-from berezinlab.operators import TruncatedOperator
+from berezinlab import cli, suites
+from berezinlab.berezin import DEFAULT_CONFIG
+from berezinlab.operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
 from berezinlab.suites import BatteryResult
+from berezinlab.symbols import MonomialSymbol, parse_complex
 
 
 def run(args):
@@ -27,6 +29,17 @@ def read_json(path):
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def dumped_matrix(payload):
+    """The complex matrix of a toeplitz or uz dump."""
+    return np.array([[complex(re, im) for re, im in row] for row in payload["entries"]])
+
+
+def dump_entries(op):
+    """The entries a dump of ``op`` holds: [re, im] pairs at 12 significant digits."""
+    return [[[float(f"{v.real:.12g}"), float(f"{v.imag:.12g}")] for v in row]
+            for row in op.matrix]
 
 
 class TestBerezinCommand:
@@ -101,24 +114,31 @@ class TestMatrixDumps:
         payload = read_json(out)
         assert payload["dim"] == 8
         assert payload["basis"] == "orthonormal-monomial"
-        op = TruncatedOperator.from_json_dict(payload)
-        assert op.matrix[0, 0] == pytest.approx(0.5)
-        assert op.matrix[1, 1] == pytest.approx(2.0 / 3.0)
+        mod2 = MonomialSymbol.monomial(1, 1)
+        assert payload["entries"] == dump_entries(toeplitz_exact(mod2, 8))
+        m = dumped_matrix(payload)
+        assert m[0, 0] == pytest.approx(0.5)
+        assert m[1, 1] == pytest.approx(2.0 / 3.0)
 
     def test_toeplitz_quadrature_variant(self, tmp_path):
         out = tmp_path / "t.json"
         code = run(["toeplitz", "--symbol", "0,1:1", "--trunc", "6",
                     "--quadrature", "--out", str(out)])
         assert code == 0
-        op = TruncatedOperator.from_json_dict(read_json(out))
-        assert op.matrix[0, 1] == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
+        payload = read_json(out)
+        wbar = MonomialSymbol.monomial(0, 1)
+        want = toeplitz_quadrature(wbar.evaluate_array, 6, DEFAULT_CONFIG.rule(),
+                                   degree_hint=1)
+        assert payload["entries"] == dump_entries(want)
+        assert dumped_matrix(payload)[0, 1] == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
 
     def test_uz_dump(self, tmp_path):
         out = tmp_path / "u.json"
         code = run(["uz", "--z", "0", "--trunc", "4", "--out", str(out)])
         assert code == 0
-        op = TruncatedOperator.from_json_dict(read_json(out))
-        assert np.allclose(op.matrix, np.diag([-1, 1, -1, 1]))
+        payload = read_json(out)
+        assert payload["entries"] == dump_entries(unitary_uz(0, 4))
+        assert np.array_equal(dumped_matrix(payload), np.diag([-1, 1, -1, 1]))
 
     @pytest.mark.parametrize("trunc", ["8", "24", "48"])
     @pytest.mark.parametrize("argv", [["toeplitz", "--symbol", "1,1:1;2,0:0.5;0,1:-0.25i"],
@@ -131,9 +151,13 @@ class TestMatrixDumps:
         assert run(argv) == 0
         text = capsys.readouterr().out
         payload = json.loads(text)
-        op = TruncatedOperator.from_json_dict(payload)
-        whole = {**op.to_json_dict(), "inputs": payload["inputs"],
-                 "config": payload["config"]}
+        if argv[0] == "toeplitz":
+            op = toeplitz_exact(MonomialSymbol.from_string(argv[2]), int(trunc))
+        else:
+            op = unitary_uz(parse_complex(argv[2]), int(trunc))
+        whole = {"dim": op.dim, "basis": "orthonormal-monomial",
+                 "entries": [[[v.real, v.imag] for v in row] for row in op.matrix],
+                 "inputs": payload["inputs"], "config": payload["config"]}
         want = json.dumps(cli._roundtrip(whole), indent=2, sort_keys=True)
         assert text == want + "\n"
         out = tmp_path / "m.json"
@@ -217,6 +241,48 @@ class TestMatrixBudget:
         assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--trunc", "8",
                     "--pad", "-100000"]) == 2
         assert capsys.readouterr().err == "error: pad must be >= 0\n"
+
+    def test_rule_sizes_counted_where_a_rule_is_built(self):
+        # leggauss's nr x nr companion matrix and the complex node array;
+        # identity-suite doubles the rule and keeps 41 rows of its nodes
+        quadrature = ["toeplitz", "--symbol", "1,1:1", "--quadrature"]
+        assert self.within_budget(quadrature + ["--nr", "5792"])
+        assert not self.within_budget(quadrature + ["--nr", "5793"])
+        assert self.within_budget(quadrature + ["--ntheta", "209715"])
+        assert not self.within_budget(quadrature + ["--ntheta", "209716"])
+        assert self.within_budget(["toeplitz", "--symbol", "1,1:1", "--nr", "5793"])
+        berezin = ["berezin", "--symbol", "1,1:1", "--z", "0", "--nr", "5793"]
+        assert self.within_budget(berezin + ["--route", "series"])
+        assert self.within_budget(berezin + ["--route", "operator"])
+        assert not self.within_budget(berezin + ["--route", "quadrature"])
+        assert not self.within_budget(berezin)
+        assert self.within_budget(["identity-suite", "--ntheta", "1", "--nr", "2896"])
+        assert not self.within_budget(["identity-suite", "--ntheta", "1", "--nr", "2897"])
+        assert self.within_budget(["identity-suite", "--ntheta", "5115"])
+        assert not self.within_budget(["identity-suite", "--ntheta", "5116"])
+
+    @pytest.mark.parametrize("argv", [
+        ["berezin", "--symbol", "1,1:1", "--z", "0"],
+        ["berezin", "--symbol", "1,1:1", "--z", "0", "--route", "quadrature"],
+        ["toeplitz", "--symbol", "1,1:1", "--quadrature"],
+        ["identity-suite"]])
+    @pytest.mark.parametrize("option", ["--nr", "--ntheta"])
+    def test_oversized_rule_refused_before_build(self, argv, option, monkeypatch, capsys):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("a rule was built")
+        monkeypatch.setattr(cli.bz, "cached_rule", must_not_build)
+        monkeypatch.setattr(suites, "build_rule", must_not_build)
+        assert run(argv + [option, "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a ") and err.endswith("-byte budget\n")
+
+    def test_series_route_builds_no_rule(self, monkeypatch, capsys):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("a rule was built")
+        monkeypatch.setattr(cli.bz, "cached_rule", must_not_build)
+        assert run(["berezin", "--symbol", "1,1:1", "--z", "0", "--route", "series",
+                    "--ntheta", "1000000000000"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n_angular"] == 10 ** 12
 
     def test_commutator_refused_before_build(self, monkeypatch):
         def must_not_build(*args, **kwargs):

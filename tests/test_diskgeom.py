@@ -3,12 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berezinlab.diskgeom import (DISK_RADIUS_MAX, DiskDomainError, DiskPoint,
-                                 bergman_kernel, mobius_deriv, mobius_eval,
-                                 normalized_kernel, normalized_kernel_density)
+from berezinlab.berezin import kernel_coefficients
+from berezinlab.diskgeom import DISK_RADIUS_MAX, DiskDomainError, DiskPoint, mobius_eval
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
                                  allow_nan=False)
+
+
+def mobius_deriv_fd(z, w, h=1e-6):
+    """Central difference of phi_z at w."""
+    return (mobius_eval(z, w + h) - mobius_eval(z, w - h)) / (2 * h)
+
+
+def kernel_series(z, w, dim=400):
+    """k_z(w) summed from its orthonormal coefficients: sum_n c_n sqrt(n+1) w^n."""
+    c = kernel_coefficients(z, dim)
+    return complex(np.sum(c * np.sqrt(np.arange(1.0, dim + 1)) * complex(w) ** np.arange(dim)))
+
+
+def bergman_kernel(z, w):
+    """The closed form K_z(w) = 1 / (1 - conj(z) w)^2."""
+    return 1.0 / (1.0 - np.conj(z) * w) ** 2
 
 
 class TestDiskPoint:
@@ -60,50 +75,55 @@ class TestMobius:
 
 
 class TestMobiusDerivative:
+    """phi_z' = (|z|^2 - 1) / (1 - conj(z) w)^2, the derivative of mobius_eval."""
+
     def test_at_origin_is_minus_one(self):
-        assert mobius_deriv(0.0, 0.37 - 0.11j) == pytest.approx(-1.0)
+        assert mobius_deriv_fd(0.0, 0.37 - 0.11j) == pytest.approx(-1.0)
 
     def test_formula_at_zero(self):
-        assert mobius_deriv(0.5, 0.0) == pytest.approx(-0.75)
+        assert mobius_deriv_fd(0.5, 0.0) == pytest.approx(-0.75)
 
     def test_matches_central_difference(self):
         rng = np.random.default_rng(1)
-        h = 1e-6
         for _ in range(25):
             z = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             w = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            fd = (mobius_eval(z, w + h) - mobius_eval(z, w - h)) / (2 * h)
-            assert abs(mobius_deriv(z, w) - fd) < 1e-8
+            closed = (abs(z) ** 2 - 1.0) / (1.0 - np.conj(z) * w) ** 2
+            assert abs(closed - mobius_deriv_fd(z, w)) < 1e-8
 
 
 class TestKernels:
+    """k_z as the package builds it (``kernel_coefficients``) against K_z's closed form."""
+
     def test_center_kernel_is_one(self):
         for w in (0.0, 0.5, -0.2 + 0.7j):
-            assert bergman_kernel(0.0, w) == pytest.approx(1.0)
+            assert kernel_series(0.0, w) == pytest.approx(1.0)
 
     def test_diagonal_value(self):
-        assert bergman_kernel(0.5, 0.5) == pytest.approx(16.0 / 9.0)
+        # K_z(z) = 1 / (1 - |z|^2)^2
+        assert kernel_series(0.5, 0.5) / 0.75 == pytest.approx(16.0 / 9.0)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             z = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             w = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            assert bergman_kernel(z, w) == pytest.approx(
-                np.conj(bergman_kernel(w, z)), abs=1e-12)
+            kzw = kernel_series(z, w) / (1 - abs(z) ** 2)
+            kwz = kernel_series(w, z) / (1 - abs(w) ** 2)
+            assert kzw == pytest.approx(np.conj(kwz), abs=1e-12)
 
     def test_normalized_scaling(self):
         z, w = 0.6j, 0.1 - 0.3j
-        assert normalized_kernel(z, w) == pytest.approx(
+        assert kernel_series(z, w) == pytest.approx(
             bergman_kernel(z, w) * (1 - abs(z) ** 2))
 
     def test_normalized_at_center(self):
-        assert normalized_kernel(0.0, 0.77j) == pytest.approx(1.0)
+        assert kernel_series(0.0, 0.77j) == pytest.approx(1.0)
 
     def test_unit_mass_of_density(self, default_rule):
         # ||k_z||_2 = 1, checked through the quadrature rule at z = 0.7
-        total = np.dot(default_rule.weights,
-                       normalized_kernel_density(0.7, default_rule.nodes))
+        density = (1 - 0.7 ** 2) ** 2 / np.abs(1 - 0.7 * default_rule.nodes) ** 4
+        total = np.dot(default_rule.weights, density)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_modulus_identity(self):
