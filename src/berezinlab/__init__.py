@@ -22,8 +22,7 @@ from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
 from .diskgeom import DiskDomainError, DiskPoint, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         covariant_toeplitz, semicommutator_defect,
-                        toeplitz_analytic, toeplitz_exact, toeplitz_quadrature,
-                        unitary_uz)
+                        toeplitz_exact, toeplitz_quadrature, unitary_uz)
 from .quadrature import (DiskQuadrature, QuadratureWarning, build_rule,
                          monomial_moment)
 from .symbols import (BlaschkeProduct, HarmonicProductKind, MonomialSymbol,

@@ -7,7 +7,7 @@ Five routes to the same number:
   (N+1) |z|^{2N} / (1-|z|^2)^2 stays below RELIABILITY_TOL;
 * series route: for a monomial symbol w^j conj(w)^k with d = j-k >= 0,
   u~(z) = (1-|z|^2)^2 z^d sum_m (m+1)(m+d+1) |z|^{2m} / (j+m+1),
-  truncated when the geometric tail drops below tolerance;
+  truncated when the geometric tail drops below SERIES_TOL;
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
@@ -18,8 +18,8 @@ Five routes to the same number:
 * mean-value route: u~(z) = integral of u o phi_z dA, summed over
   fixed slices of the rule's nodes.
 
-The numerical policy every report shares is fixed here: FD_STEP for
-the five-point Laplacian and RELIABILITY_TOL for the reliability flags.
+The numerical policy the reports share is fixed here, in the constants
+FD_STEP, RELIABILITY_TOL, SERIES_TOL and DECAY_THRESHOLD.
 
 Boundary behavior ("z -> boundary") is operationalized as sampling
 along in-disk radial or nontangential paths; nothing here claims to
@@ -42,10 +42,14 @@ from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
+# Bound on the geometric tail at which the series route stops summing.
+SERIES_TOL = 1e-12
 # Relative step h0 of the five-point Laplacian, h = h0 * (1 - |z|).
 FD_STEP = 1e-3
 # Error bound at or beyond which a sample carries a reliability flag.
 RELIABILITY_TOL = 1e-6
+# Final-sample magnitude below which both commutator profiles count as decayed.
+DECAY_THRESHOLD = 1e-3
 # Nodes per slice of the mean-value integrals: every complex temporary of
 # a slice is 64 KB, below glibc's default 128 KB mmap threshold, so the
 # slices reuse heap memory instead of faulting in fresh pages.
@@ -58,18 +62,15 @@ class StencilOutOfDiskError(DiskDomainError):
 
 @dataclass(frozen=True)
 class BerezinConfig:
-    """Truncation, series tolerance and quadrature rule size of a run."""
+    """Truncation and quadrature rule size of a run."""
 
     truncation: int = 64
-    series_tol: float = 1e-12
     n_radial: int = DEFAULT_N_RADIAL
     n_angular: int = DEFAULT_N_ANGULAR
 
     def __post_init__(self):
         if self.truncation < 8:
             raise ValueError("truncation must be at least 8")
-        if self.series_tol <= 0:
-            raise ValueError("series_tol must be positive")
 
     def rule(self) -> DiskQuadrature:
         return cached_rule(self.n_radial, self.n_angular)
@@ -115,25 +116,24 @@ def operator_flag(dim: int, z) -> str:
 # series route
 # ---------------------------------------------------------------------------
 
-def berezin_symbol_series(u: MonomialSymbol, z,
-                          tol: float = DEFAULT_CONFIG.series_tol) -> complex:
+def berezin_symbol_series(u: MonomialSymbol, z) -> complex:
     """Berezin transform of a polynomial symbol by its power series.
 
     Linear over the symbol's terms; each monomial series is summed in
-    blocks until the remaining geometric tail is below ``tol``, or
+    blocks until the remaining geometric tail is below SERIES_TOL, or
     fails after SERIES_MAX_TERMS terms.
     """
     zv = disk_value(z)
     t = abs(zv) ** 2
     total = 0j
     for (j, k), c in u.coeffs.items():
-        total += c * _monomial_series(j, k, zv, t, tol)
+        total += c * _monomial_series(j, k, zv, t)
     return total
 
 
-def _monomial_series(j: int, k: int, zv: complex, t: float, tol: float) -> complex:
+def _monomial_series(j: int, k: int, zv: complex, t: float) -> complex:
     if j < k:
-        return _monomial_series(k, j, zv, t, tol).conjugate()
+        return _monomial_series(k, j, zv, t).conjugate()
     d = j - k
     block = 512
     acc = 0.0
@@ -143,11 +143,11 @@ def _monomial_series(j: int, k: int, zv: complex, t: float, tol: float) -> compl
         acc += float(np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (j + m + 1.0)))
         m0 += block
         # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(j+m+1) <= 1
-        if t ** m0 * (m0 * (1.0 - t) + 1.0) < tol:
+        if t ** m0 * (m0 * (1.0 - t) + 1.0) < SERIES_TOL:
             break
         if m0 >= SERIES_MAX_TERMS:
             raise RuntimeError(
-                f"series route did not reach tol={tol} within {SERIES_MAX_TERMS} terms "
+                f"series route did not reach tol={SERIES_TOL} within {SERIES_MAX_TERMS} terms "
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
     return (1.0 - t) ** 2 * zv ** d * acc
 
@@ -556,18 +556,16 @@ def _describe(f) -> dict:
 
 def commutator_compactness_indicator(f, g, radii=None,
                                      dim: int = DEFAULT_CONFIG.truncation,
-                                     path: PathSpec = PathSpec(),
-                                     threshold: float = 1e-3,
-                                     pad: int | None = None) -> CommutatorReport:
+                                     path: PathSpec = PathSpec()) -> CommutatorReport:
     """Probe whether the mixed Toeplitz commutator of (f, g) looks compact.
 
     Two independent boundary profiles are reported: the derivative
     quantity (1-|z|^2)^2 |f' g'| whose decay characterizes compactness
     for analytic pairs, and the Berezin transform of the truncated
-    defect 2 T_{conj(f) g} - T_conj(f) T_g - T_g T_conj(f).  The verdict
-    is "decay-consistent" when both fall below ``threshold`` at the final
-    path sample; truncation flags and the reliable prefix are reported
-    alongside so a flagged tail can be discounted.
+    defect 2 T_{conj(f) g} - T_conj(f) T_g - T_g T_conj(f), padded by dim.
+    The verdict is "decay-consistent" when both fall below DECAY_THRESHOLD
+    at the final path sample; truncation flags and the reliable prefix
+    are reported alongside so a flagged tail can be discounted.
     """
     if radii is None:
         radii = dyadic_radii()
@@ -580,7 +578,7 @@ def commutator_compactness_indicator(f, g, radii=None,
     deriv_profile = decay_profile(deriv_quantity, path, radii,
                                   label="invariant-derivative-product")
 
-    defect = analytic_commutator_defect(f, g, dim, pad)
+    defect = analytic_commutator_defect(f, g, dim)
     berezin_profile = decay_profile(
         lambda z: abs(berezin_operator(defect, z)),
         path, radii, flag_fn=lambda z: operator_flag(dim, z), label="defect-berezin")
@@ -598,7 +596,7 @@ def commutator_compactness_indicator(f, g, radii=None,
     # The verdict is a convenience taken at the final path samples; the
     # flags and the reliable prefix are reported so a flagged tail can be
     # discounted by the reader.
-    decays = final_deriv < threshold and final_berezin < threshold
+    decays = final_deriv < DECAY_THRESHOLD and final_berezin < DECAY_THRESHOLD
 
     residuals = {
         "final_deriv_quantity": final_deriv,
@@ -614,8 +612,8 @@ def commutator_compactness_indicator(f, g, radii=None,
 
     return CommutatorReport(
         inputs={"f": _describe(f), "g": _describe(g)},
-        config={"dim": dim, "pad": pad if pad is not None else dim,
-                "threshold": threshold, "radii": list(map(float, radii)),
+        config={"dim": dim, "pad": dim,
+                "threshold": DECAY_THRESHOLD, "radii": list(map(float, radii)),
                 "angle": path.angle, "aperture": path.aperture},
         deriv_profile=deriv_profile,
         berezin_profile=berezin_profile,

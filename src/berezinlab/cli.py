@@ -90,12 +90,14 @@ def _emit(payload: dict, rows, header, args) -> None:
 
 
 def _config_from(args) -> bz.BerezinConfig:
-    return bz.BerezinConfig(truncation=args.trunc, series_tol=args.tol,
-                            n_radial=args.nr, n_angular=args.ntheta)
+    return bz.BerezinConfig(truncation=args.trunc, n_radial=args.nr,
+                            n_angular=args.ntheta)
 
 
-# The fixed numerical policy, embedded in every report but the matrix dumps.
+# The fixed numerical policy, embedded in every report but the matrix dumps;
+# the reports with a series route add SERIES_POLICY.
 POLICY = {"fd_step": bz.FD_STEP, "reliability_tol": bz.RELIABILITY_TOL}
+SERIES_POLICY = {"series_tol": bz.SERIES_TOL}
 
 
 def _dump_config(args) -> dict:
@@ -107,13 +109,13 @@ def _dump_config(args) -> dict:
 def _check_matrix_budget(args) -> None:
     """Refuse sizes whose largest arrays would exceed the budget, before building.
 
-    They are the N x N matrix (commutator: N + pad) and, where a rule is
-    built, leggauss's nr x nr companion and the nodes; identity-suite also
-    doubles the rule and tabulates 41 rows of nodes (moment-oracle).
+    They are the N x N matrix (2N x 2N for commutator) and, where a rule
+    is built, leggauss's nr x nr companion, the nodes and, for toeplitz
+    --quadrature, nr x (2N - 1) radial powers; identity-suite also doubles
+    the rule and tabulates 41 rows of nodes (moment-oracle).
     Negative sizes are left to fail later with their own errors.
     """
-    n, pad = getattr(args, "trunc", 0), getattr(args, "pad", 0)
-    n += n if pad is None else pad
+    n = getattr(args, "trunc", 0) * (2 if args.command == "commutator" else 1)
     arrays = [(f"a {n} x {n} complex matrix", 16 * max(n, 0) ** 2)]
     if (args.command == "identity-suite" or getattr(args, "quadrature", False)
             or getattr(args, "route", "") in ("quadrature", "all")):
@@ -122,6 +124,9 @@ def _check_matrix_budget(args) -> None:
             nr, rows = 2 * nr, 41
         arrays += [(f"a {nr} x {nr} companion matrix", 8 * max(nr, 0) ** 2),
                    (f"a {rows} x {nodes} complex node table", 16 * rows * nodes)]
+        if getattr(args, "quadrature", False):
+            arrays.append((f"a {nr} x {2 * n - 1} radial power table",
+                           8 * max(nr, 0) * max(2 * n - 1, 0)))
     for what, need in arrays:
         if need > MATRIX_BUDGET_BYTES:
             raise CLIError(f"{what} needs {need:,} bytes, "
@@ -192,7 +197,7 @@ def cmd_berezin(args) -> int:
         flags = {}
         for route in routes:
             if route == "series":
-                value = bz.berezin_symbol_series(symbol, z, cfg.series_tol)
+                value = bz.berezin_symbol_series(symbol, z)
                 flag = ""
             elif route == "quadrature":
                 value = bz.berezin_symbol_quadrature(symbol, z, rule)
@@ -215,7 +220,7 @@ def cmd_berezin(args) -> int:
     payload = {"inputs": {"command": "berezin", "symbol": symbol.to_string(),
                           "z": [[z.real, z.imag] for z in zs],
                           "routes": list(routes)},
-               "config": {**_dump_config(args), **POLICY},
+               "config": {**_dump_config(args), **POLICY, **SERIES_POLICY},
                "results": results}
     _emit(payload, rows, ("z_re", "z_im", "route", "value_re", "value_im", "flag"), args)
     return EXIT_RELIABILITY if (args.strict and flagged) else EXIT_OK
@@ -251,7 +256,7 @@ def cmd_identity_suite(args) -> int:
     rows = [(r.battery, "pass" if r.passed else "FAIL", r.max_residual,
              r.tolerance, r.description) for r in results]
     payload = {"inputs": {"command": "identity-suite", "only": args.only},
-               "config": {**_dump_config(args), **POLICY},
+               "config": {**_dump_config(args), **POLICY, **SERIES_POLICY},
                "results": [{"battery": r.battery, "passed": r.passed,
                             "max_residual": r.max_residual, "tolerance": r.tolerance,
                             "description": r.description, "details": r.details}
@@ -294,9 +299,7 @@ def cmd_commutator(args) -> int:
                                f if isinstance(f, BlaschkeProduct) else None)
     radii = bz.dyadic_radii(args.kmax)
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
-    report = bz.commutator_compactness_indicator(
-        f, g, radii, dim=dim, path=path,
-        threshold=args.threshold, pad=args.pad)
+    report = bz.commutator_compactness_indicator(f, g, radii, dim=dim, path=path)
 
     payload = {"inputs": {"command": "commutator", **report.inputs},
                "config": {**_dump_config(args), **POLICY, **report.config},
@@ -370,13 +373,11 @@ SHARED_OPTIONS = {
     "nr": dict(type=int, default=bz.DEFAULT_CONFIG.n_radial, help="radial rule size"),
     "ntheta": dict(type=int, default=bz.DEFAULT_CONFIG.n_angular,
                    help="angular rule size"),
-    "tol": dict(type=float, default=bz.DEFAULT_CONFIG.series_tol,
-                help="series tolerance"),
     "strict": dict(action="store_true",
                    help="exit 3 when any reliability flag is raised"),
 }
 CONFIG_KEYS = {"trunc": "truncation", "nr": "n_radial", "ntheta": "n_angular",
-               "tol": "series_tol", "strict": "strict", "format": "format"}
+               "strict": "strict", "format": "format"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("berezin", cmd_berezin, "out format trunc nr ntheta tol strict",
+    p = command("berezin", cmd_berezin, "out format trunc nr ntheta strict",
                 help="transform of a polynomial symbol at given points")
     p.add_argument("--symbol", required=True, help="terms 'j,k:re+imi' joined by ';'")
     p.add_argument("--z", required=True, help="comma-separated complex points")
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="dump the truncated Mobius unitary as JSON")
     p.add_argument("--z", required=True)
 
-    p = command("identity-suite", cmd_identity_suite, "out format trunc nr ntheta tol",
+    p = command("identity-suite", cmd_identity_suite, "out format trunc nr ntheta",
                 help="run the invariant batteries and report pass/fail")
     p.add_argument("--only", default=None, choices=sorted(BATTERIES),
                    metavar="BATTERY", help="run a single battery")
@@ -424,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--aperture", type=float, default=0.0)
-    p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--pad", type=int, default=None)
 
     p = command("decay", cmd_decay, "out format",
                 help="sample a boundary-decay field along a path")

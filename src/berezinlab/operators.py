@@ -104,25 +104,26 @@ def toeplitz_exact(u: MonomialSymbol, dim: int) -> TruncatedOperator:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     m = np.zeros((dim, dim), dtype=complex)
+    flat = m.reshape(-1)  # entry [q, p] sits at q * dim + p
     for offset, lo, values in _toeplitz_diagonals(u, dim):
-        p = np.arange(lo, lo + len(values))
-        m[p + offset, p] += values
+        start = (lo + offset) * dim + lo
+        flat[start:start + len(values) * (dim + 1):dim + 1] += values
     return TruncatedOperator._adopt(m)
 
 
 def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
     """Yield (offset, p_lo, entries): entries[i] is T_u[p_lo + i + offset, p_lo + i]."""
+    index = np.arange(1.0, dim + 1.0)  # index[p] = p + 1
     for (j, k), c in u.coeffs.items():
         offset = j - k
         p_lo = max(0, -offset)
         p_hi = min(dim, dim - offset)
         if p_lo >= p_hi:
             continue
-        p = np.arange(p_lo, p_hi)
-        q = p + offset
+        p1, q1 = index[p_lo:p_hi], index[p_lo + offset:p_hi + offset]
         # single sqrt of the product keeps perfect squares exact (u = 1
         # really is the identity matrix)
-        yield offset, p_lo, c * np.sqrt((p + 1.0) * (q + 1.0)) / (j + p + 1.0)
+        yield offset, p_lo, c * np.sqrt(p1 * q1) / (p1 + j)
 
 
 def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
@@ -144,8 +145,9 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
 
     # hat_f[i, l] ~ (1/2pi) int f(r_i e^{i th}) e^{-i l th} dth
     hat_f = np.fft.fft(values, axis=1) / rule.n_angular
-    powers = rule.radial_r[:, None] ** np.arange(0, 2 * dim - 1)[None, :]
-    weighted = rule.radial_w[:, None] * powers
+    # weighted radial powers, formed in place: one nr x (2 dim - 1) table
+    weighted = rule.radial_r[:, None] ** np.arange(0, 2 * dim - 1)[None, :]
+    weighted *= rule.radial_w[:, None]
 
     m = np.zeros((dim, dim), dtype=complex)
     scale = np.sqrt(np.arange(1, dim + 1, dtype=float))
@@ -154,23 +156,6 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
         p = np.arange(max(0, -offset), min(dim, dim - offset))
         q = p + offset
         m[q, p] = scale[p] * scale[q] * (fourier @ weighted[:, 2 * p + offset])
-    return TruncatedOperator._adopt(m)
-
-
-def toeplitz_analytic(coeffs: np.ndarray, dim: int) -> TruncatedOperator:
-    """Compression of multiplication by an analytic g from its Taylor series.
-
-    <g e_p, e_q> = sqrt((p+1)/(q+1)) * c_{q-p} for q >= p, zero above the
-    diagonal; exact whenever the series is supplied out to degree dim-1.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    m = np.zeros((dim, dim), dtype=complex)
-    root = np.sqrt(np.arange(1, dim + 1, dtype=float))
-    for offset in range(0, min(dim, len(coeffs))):
-        if coeffs[offset] == 0:
-            continue
-        p = np.arange(0, dim - offset)
-        m[p + offset, p] = coeffs[offset] * root[p] / root[p + offset]
     return TruncatedOperator._adopt(m)
 
 
@@ -327,34 +312,28 @@ def semicommutator_defect(u: MonomialSymbol, v: MonomialSymbol,
     return 2.0 * t_uv - t_u @ t_v - t_v @ t_u
 
 
-def analytic_commutator_defect(f, g, dim: int, pad: int | None = None) -> TruncatedOperator:
+def analytic_commutator_defect(f, g, dim: int) -> TruncatedOperator:
     """Defect for analytic f, g, where it reduces to [T_conj(f), T_g].
 
-    Built at dimension dim + pad and cropped, so products see the part
-    of the infinite matrices that feeds the leading block.  For
-    polynomial symbols any pad >= deg makes the crop exact; Blaschke
-    inputs have slowly decaying Taylor tails and keep a truncation
-    error that shrinks as pad grows.
+    A Blaschke input enters as its first 2 dim Taylor terms.  T_g T_conj(f)
+    is lower- times upper-triangular, so the dim x dim blocks give its
+    leading block exactly; T_conj(f) T_g = A_f^H A_g, A_h the first dim
+    columns of T_h at truncation 2 dim, is exact for polynomials of
+    degree <= dim and cuts a Blaschke tail at row 2 dim.
     """
-    if pad is None:
-        pad = dim
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
+    big = 2 * dim
+    a_f = toeplitz_exact(_analytic_symbol(f, big), big).matrix[:, :dim]
+    a_g = toeplitz_exact(_analytic_symbol(g, big), big).matrix[:, :dim]
+    m = a_f.conj().T @ a_g - a_g[:dim] @ a_f[:dim].conj().T
+    return TruncatedOperator._adopt(m)
 
-    def taylor_of(h, count):
-        if isinstance(h, BlaschkeProduct):
-            return h.taylor(count)
-        if isinstance(h, MonomialSymbol):
-            if not h.is_analytic():
-                raise ValueError("analytic defect requires analytic symbols")
-            coeffs = np.zeros(count, dtype=complex)
-            for (j, _), c in h.coeffs.items():
-                if j < count:
-                    coeffs[j] = c
-            return coeffs
-        raise TypeError(f"unsupported analytic symbol {type(h).__name__}")
 
-    big = dim + pad
-    t_f = toeplitz_analytic(taylor_of(f, big), big).adjoint()
-    t_g = toeplitz_analytic(taylor_of(g, big), big)
-    return (t_f @ t_g - t_g @ t_f).leading_block(dim)
+def _analytic_symbol(h, count: int) -> MonomialSymbol:
+    """h itself, or a Blaschke product's first ``count`` Taylor terms as a symbol."""
+    if isinstance(h, BlaschkeProduct):
+        return MonomialSymbol({(n, 0): c for n, c in enumerate(h.taylor(count))})
+    if isinstance(h, MonomialSymbol):
+        if not h.is_analytic():
+            raise ValueError("analytic defect requires analytic symbols")
+        return h
+    raise TypeError(f"unsupported analytic symbol {type(h).__name__}")

@@ -326,13 +326,13 @@ def battery_unitary_orthonormality(cfg):
 # transform routes
 # ---------------------------------------------------------------------------
 
-def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points, dim: int,
-                            series_tol: float = bz.DEFAULT_CONFIG.series_tol) -> float:
+def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points,
+                            dim: int) -> float:
     """Worst |(uv)~ - uv - (T_uv - T_u T_v)~| over points, at truncation dim."""
     defect = semicommutator_defect(u, v, dim)
     worst = 0.0
     for z in points:
-        lhs = bz.berezin_symbol_series(u * v, z, series_tol) - u.evaluate(z) * v.evaluate(z)
+        lhs = bz.berezin_symbol_series(u * v, z) - u.evaluate(z) * v.evaluate(z)
         worst = max(worst, abs(lhs - bz.berezin_operator(defect, z)))
     return worst
 
@@ -347,7 +347,7 @@ def battery_route_agreement(cfg):
         u = random_symbol(rng, max_degree=6)
         op = toeplitz_exact(u, cfg.truncation)
         for z in sample_points(rng, 6, 0.8):
-            series = bz.berezin_symbol_series(u, z, cfg.series_tol)
+            series = bz.berezin_symbol_series(u, z)
             vs_quad = max(vs_quad, abs(series - bz.berezin_symbol_quadrature(u, z, rule)))
             vs_op = max(vs_op, abs(series - bz.berezin_operator(op, z)))
             vs_exact = max(vs_exact, abs(series - bz.berezin_symbol_exact(u, z)))
@@ -365,8 +365,7 @@ def battery_harmonic_fixed_point(cfg):
     for _ in range(10):
         u = random_symbol(rng, max_degree=6, harmonic=True)
         for z in sample_points(rng, 10, 0.9):
-            worst = max(worst, abs(bz.berezin_symbol_series(u, z, cfg.series_tol)
-                                   - u.evaluate(z)))
+            worst = max(worst, abs(bz.berezin_symbol_series(u, z) - u.evaluate(z)))
     return worst
 
 
@@ -381,7 +380,7 @@ def battery_positivity_contractivity(cfg):
         u = p * p.conjugate()
         sup = float(np.max(np.abs(u.evaluate_array(rule.nodes))))
         for z in sample_points(rng, 8, 0.85):
-            val = bz.berezin_symbol_series(u, z, cfg.series_tol)
+            val = bz.berezin_symbol_series(u, z)
             worst = max(worst, -val.real, abs(val.imag))
             worst = max(worst, abs(val) - sup - 1e-8)
     return worst
@@ -397,7 +396,7 @@ def battery_semicommutator_identity(cfg):
     worst = 0.0
     for u, v in pairs:
         worst = max(worst, semicommutator_residual(
-            u, v, sample_points(rng, 6, 0.7), cfg.truncation, cfg.series_tol))
+            u, v, sample_points(rng, 6, 0.7), cfg.truncation))
     return worst
 
 
@@ -428,7 +427,7 @@ def battery_laplacian_consistency(cfg):
         u = random_symbol(rng, max_degree=6, scale=0.5)
         op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, cfg.truncation))
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
-        fd_route = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(u, z, cfg.series_tol), 0j)
+        fd_route = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(u, z), 0j)
         closed = max(closed, abs(op_route - sym_route))
         fd = max(fd, abs(sym_route - fd_route))
     return (max(closed, fd), {"closed_forms": closed, "finite_difference": fd},
@@ -458,7 +457,7 @@ def battery_invariant_laplacian_integral(cfg):
     worst = 0.0
     for _ in range(5):
         u = random_symbol(rng, max_degree=4, scale=0.5)
-        field = lambda z: bz.berezin_symbol_series(u, z, cfg.series_tol)
+        field = lambda z: bz.berezin_symbol_series(u, z)
         for z in sample_points(rng, 4, 0.7):
             lhs = bz.harmonic_defect_integral(u, z, rule)
             rhs = bz.invariant_laplacian(field, z)

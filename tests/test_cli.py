@@ -229,25 +229,27 @@ class TestMatrixBudget:
         assert not self.within_budget(["identity-suite", "--trunc", "4097"])
 
     def test_commutator_counts_the_pad(self):
+        # the defect is cut from Toeplitz matrices padded by N: 2N x 2N
         pair = ["commutator", "--f", "1,0:1", "--g", "1,0:1"]
         assert self.within_budget(pair + ["--trunc", "2048"])
         assert not self.within_budget(pair + ["--trunc", "2049"])
-        assert not self.within_budget(pair + ["--trunc", "2048", "--pad", "2049"])
-        assert self.within_budget(pair + ["--trunc", "4000", "--pad", "96"])
 
     def test_negative_sizes_left_to_their_own_errors(self, capsys):
         assert run(["uz", "--z", "0", "--trunc", "-5000"]) == 2
         assert capsys.readouterr().err == "error: dim must be >= 1\n"
-        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--trunc", "8",
-                    "--pad", "-100000"]) == 2
-        assert capsys.readouterr().err == "error: pad must be >= 0\n"
+        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1",
+                    "--trunc", "-5000"]) == 2
+        assert capsys.readouterr().err == "error: truncation must be at least 8\n"
 
     def test_rule_sizes_counted_where_a_rule_is_built(self):
         # leggauss's nr x nr companion matrix and the complex node array;
-        # identity-suite doubles the rule and keeps 41 rows of its nodes
+        # identity-suite doubles the rule and keeps 41 rows of its nodes, and
+        # toeplitz --quadrature tabulates nr x (2N - 1) weighted radial powers
         quadrature = ["toeplitz", "--symbol", "1,1:1", "--quadrature"]
         assert self.within_budget(quadrature + ["--nr", "5792"])
         assert not self.within_budget(quadrature + ["--nr", "5793"])
+        assert self.within_budget(quadrature + ["--trunc", "4096", "--nr", "4096"])
+        assert not self.within_budget(quadrature + ["--trunc", "4096", "--nr", "4097"])
         assert self.within_budget(quadrature + ["--ntheta", "209715"])
         assert not self.within_budget(quadrature + ["--ntheta", "209716"])
         assert self.within_budget(["toeplitz", "--symbol", "1,1:1", "--nr", "5793"])
@@ -260,6 +262,17 @@ class TestMatrixBudget:
         assert not self.within_budget(["identity-suite", "--ntheta", "1", "--nr", "2897"])
         assert self.within_budget(["identity-suite", "--ntheta", "5115"])
         assert not self.within_budget(["identity-suite", "--ntheta", "5116"])
+
+    def test_radial_table_refused_before_build(self, monkeypatch, capsys):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("a rule or a table was built")
+        monkeypatch.setattr(cli.bz, "cached_rule", must_not_build)
+        monkeypatch.setattr(cli, "toeplitz_quadrature", must_not_build)
+        assert run(["toeplitz", "--symbol", "1,1:1", "--quadrature", "--trunc", "4096",
+                    "--nr", "5792"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a 5792 x 8191 radial power table needs 379,538,176 bytes, "
+            "over the 268,435,456-byte budget\n")
 
     @pytest.mark.parametrize("argv", [
         ["berezin", "--symbol", "1,1:1", "--z", "0"],
@@ -351,10 +364,6 @@ class TestCommutatorCommand:
 
     def test_rejects_nonanalytic_symbol(self):
         assert run(["commutator", "--f", "0,1:1", "--g", "1,0:1"]) == 2
-
-    def test_negative_pad_rejected(self, capsys):
-        assert run(["commutator", "--f", "1,0:1", "--g", "1,0:1", "--pad", "-5"]) == 2
-        assert capsys.readouterr().err == "error: pad must be >= 0\n"
 
     def test_overflowing_product_rejected(self, capsys):
         # the 1e400 entries of T_f^* T_g overflow the matrix product
@@ -461,37 +470,44 @@ def test_readme_examples(capsys):
                                                                              abs=1e-9)
 
 
-# The shared options each command takes (the rest are usage errors), a
+# The shared options each command takes (the rest are usage errors, as is
+# --tol, which no command takes: the series tolerance is fixed policy), a
 # cheap argv for it, and the config keys its report adds to those options.
 SHARED_VALUES = {"--out": "-", "--format": "json", "--trunc": "16", "--nr": "20",
                  "--ntheta": "64", "--tol": "1e-10", "--strict": None}
 CONFIG_NAMES = {"--format": "format", "--trunc": "truncation", "--nr": "n_radial",
-                "--ntheta": "n_angular", "--tol": "series_tol", "--strict": "strict"}
+                "--ntheta": "n_angular", "--strict": "strict"}
 POLICY_KEYS = {"fd_step", "reliability_tol"}
 COMMANDS = {
     "berezin": (["--symbol", "1,1:1", "--z", "0.3"],
-                "--out --format --trunc --nr --ntheta --tol --strict", POLICY_KEYS),
+                "--out --format --trunc --nr --ntheta --strict",
+                POLICY_KEYS | {"series_tol"}),
     "toeplitz": (["--symbol", "1,1:1", "--trunc", "8"], "--out --trunc --nr --ntheta", set()),
     "uz": (["--z", "0.3", "--trunc", "4"], "--out --trunc", set()),
     "identity-suite": (["--only", "mobius-involution"],
-                       "--out --format --trunc --nr --ntheta --tol", POLICY_KEYS),
+                       "--out --format --trunc --nr --ntheta",
+                       POLICY_KEYS | {"series_tol"}),
     "commutator": (["--f", "1,0:1", "--g", "1,0:1", "--kmax", "4", "--trunc", "16"],
                    "--out --format --trunc --strict",
                    POLICY_KEYS | {"dim", "pad", "threshold", "radii", "angle", "aperture"}),
     "decay": (["--field", "localization", "--symbol", "1,0:1", "--kmax", "4"],
               "--out --format", POLICY_KEYS),
 }
+# commutator's indicator settings that are fixed policy: the pad is N and
+# the verdict threshold DECAY_THRESHOLD
+FIXED_VALUES = {"--pad": "8", "--threshold": "0.01"}
 DROPPED = [(command, option) for command, (_, kept, _) in COMMANDS.items()
            for option in SHARED_VALUES if option not in kept.split()]
+DROPPED += [("commutator", option) for option in FIXED_VALUES]
 
 
 class TestOptionSurface:
-    def test_seventeen_options_dropped(self):
-        assert len(DROPPED) == 17
+    def test_twenty_one_options_dropped(self):
+        assert len(DROPPED) == 21
 
     @pytest.mark.parametrize("command,option", DROPPED)
     def test_dropped_option_is_usage_error(self, command, option, capsys):
-        value = SHARED_VALUES[option]
+        value = {**SHARED_VALUES, **FIXED_VALUES}[option]
         with pytest.raises(SystemExit) as err:
             run([command, *COMMANDS[command][0], option, *([value] if value else [])])
         assert err.value.code == 2

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from berezinlab import operators
-from berezinlab.berezin import kernel_coefficients
+from berezinlab.berezin import (berezin_operator, berezin_symbol_quadrature,
+                                kernel_coefficients)
 from berezinlab.operators import (TruncatedOperator, analytic_commutator_defect,
                                   covariant_toeplitz, semicommutator_defect,
-                                  toeplitz_analytic, toeplitz_exact,
-                                  toeplitz_quadrature, unitary_uz)
+                                  toeplitz_exact, toeplitz_quadrature, unitary_uz)
 from berezinlab.quadrature import build_rule, monomial_moment
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
 
@@ -109,7 +109,7 @@ class TestTruncatedOperator:
         results = [a, a + b, a - b, a @ b, 2.0 * a, a * 1j, -a, a.adjoint(),
                    a.leading_block(2), toeplitz_exact(MOD2, 4),
                    toeplitz_quadrature(MOD2.evaluate_array, 4, default_rule),
-                   toeplitz_analytic(np.ones(4), 4), unitary_uz(0.3j, 4),
+                   analytic_commutator_defect(W, W, 4), unitary_uz(0.3j, 4),
                    covariant_toeplitz(MOD2, 0.3j, 4)]
         for op in results:
             with pytest.raises(ValueError, match="read-only"):
@@ -184,16 +184,6 @@ class TestToeplitzQuadrature:
         rule = build_rule(4, 8)
         with pytest.warns(QuadratureWarning):
             toeplitz_quadrature(lambda w: np.abs(w) ** 2, 8, rule)
-
-
-class TestToeplitzAnalytic:
-    def test_matches_exact_for_polynomials(self):
-        f = MonomialSymbol({(0, 0): 0.3, (1, 0): -1j, (3, 0): 0.7})
-        coeffs = np.zeros(8, dtype=complex)
-        coeffs[0], coeffs[1], coeffs[3] = 0.3, -1j, 0.7
-        got = toeplitz_analytic(coeffs, 8).matrix
-        want = toeplitz_exact(f, 8).matrix
-        assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestUnitary:
@@ -383,26 +373,38 @@ class TestSemicommutatorDefect:
 
 class TestAnalyticCommutatorDefect:
     def test_polynomial_matches_semicommutator(self):
-        defect = analytic_commutator_defect(W, W, 24, pad=8).matrix
+        defect = analytic_commutator_defect(W, W, 24).matrix
         direct = semicommutator_defect(WBAR, W, 32).matrix[:24, :24]
         assert np.max(np.abs(defect - direct)) < 1e-13
 
     def test_weighted_shift_commutator_diagonal(self):
         # [T_conj(w), T_w] has diagonal 1/((p+1)(p+2)), an exact evaluation
-        got = analytic_commutator_defect(W, W, 8, pad=4).matrix
+        got = analytic_commutator_defect(W, W, 8).matrix
         want = np.diag([1.0 / ((p + 1) * (p + 2)) for p in range(8)])
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_blaschke_inputs_accepted(self):
         b = BlaschkeProduct([0.5, 0.75])
-        defect = analytic_commutator_defect(b, b, 12, pad=64)
+        defect = analytic_commutator_defect(b, b, 12)
         assert defect.dim == 12
         assert np.all(np.isfinite(defect.matrix))
+
+    @pytest.mark.parametrize("f_zeros,g_zeros", [
+        ((0.5, 0.75j), (0.5, 0.75j)),
+        ((0.3 + 0.4j, -0.6), (0.9j,))])
+    def test_blaschke_transform_matches_quadrature(self, f_zeros, g_zeros, default_rule):
+        # The transform of [T_conj(f), T_g] is (conj(f) g)~(z) - conj(f(z)) g(z):
+        # T_conj(f) k_z = conj(f(z)) k_z.  The right side integrates the
+        # product on the rule's nodes and never forms a Taylor series.
+        f, g = BlaschkeProduct(f_zeros), BlaschkeProduct(g_zeros)
+        defect = analytic_commutator_defect(f, g, 64)
+        nodes = default_rule.nodes
+        product = np.conj(f.evaluate_array(nodes)) * g.evaluate_array(nodes)
+        for z in (0.0, 0.3, 0.45 - 0.2j, 0.6j, -0.42 - 0.42j):
+            want = (berezin_symbol_quadrature(product, z, default_rule)
+                    - np.conj(f.evaluate(z)) * g.evaluate(z))
+            assert abs(berezin_operator(defect, z) - want) < 1e-12
 
     def test_rejects_nonanalytic_symbol(self):
         with pytest.raises(ValueError):
             analytic_commutator_defect(WBAR, W, 8)
-
-    def test_rejects_negative_pad(self):
-        with pytest.raises(ValueError, match="pad must be >= 0"):
-            analytic_commutator_defect(W, W, 64, pad=-5)
