@@ -7,7 +7,8 @@ Five routes to the same number:
   (N+1) |z|^{2N} / (1-|z|^2)^2 stays below RELIABILITY_TOL;
 * series route: for a monomial symbol w^j conj(w)^k with d = j-k >= 0,
   u~(z) = (1-|z|^2)^2 z^d sum_m (m+1)(m+d+1) |z|^{2m} / (j+m+1),
-  truncated when the geometric tail drops below SERIES_TOL;
+  truncated when the geometric tail drops below SERIES_TOL; the stopping
+  point depends on |z| alone, so a symbol's terms share one table;
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
@@ -39,7 +40,7 @@ from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
 from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
                          build_rule, monomial_moment)
-from .symbols import BlaschkeProduct, MonomialSymbol
+from .symbols import BLOCK_NODES, BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
 # Bound on the geometric tail at which the series route stops summing.
@@ -50,10 +51,6 @@ FD_STEP = 1e-3
 RELIABILITY_TOL = 1e-6
 # Final-sample magnitude below which both commutator profiles count as decayed.
 DECAY_THRESHOLD = 1e-3
-# Nodes per slice of the mean-value integrals: every complex temporary of
-# a slice is 64 KB, below glibc's default 128 KB mmap threshold, so the
-# slices reuse heap memory instead of faulting in fresh pages.
-BLOCK_NODES = 4096
 
 
 class StencilOutOfDiskError(DiskDomainError):
@@ -119,37 +116,38 @@ def operator_flag(dim: int, z) -> str:
 def berezin_symbol_series(u: MonomialSymbol, z) -> complex:
     """Berezin transform of a polynomial symbol by its power series.
 
-    Linear over the symbol's terms; each monomial series is summed in
-    blocks until the remaining geometric tail is below SERIES_TOL, or
-    fails after SERIES_MAX_TERMS terms.
+    Linear over the symbol's terms.  How many terms are summed depends
+    only on t = |z|^2, so all monomial series share one table: block by
+    block, a (terms x 512) array of (m+1)(m+d+1) t^m / (max(j, k)+m+1),
+    d = |j - k|, is summed along its rows, until the remaining geometric
+    tail is below SERIES_TOL, or fails after SERIES_MAX_TERMS terms.
+    Each sum then gets its term's (1-t)^2 z^d, conjugated when j < k.
     """
     zv = disk_value(z)
     t = abs(zv) ** 2
-    total = 0j
-    for (j, k), c in u.coeffs.items():
-        total += c * _monomial_series(j, k, zv, t)
-    return total
-
-
-def _monomial_series(j: int, k: int, zv: complex, t: float) -> complex:
-    if j < k:
-        return _monomial_series(k, j, zv, t).conjugate()
-    d = j - k
-    block = 512
-    acc = 0.0
+    coeffs = u.coeffs
+    if not coeffs:
+        return 0j
+    d = np.array([abs(j - k) for j, k in coeffs], dtype=float)[:, None]
+    top = np.array([max(j, k) for j, k in coeffs], dtype=float)[:, None]
+    acc = np.zeros(len(coeffs))
     m0 = 0
     while True:
-        m = np.arange(m0, m0 + block, dtype=float)
-        acc += float(np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (j + m + 1.0)))
-        m0 += block
-        # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(j+m+1) <= 1
+        m = np.arange(m0, m0 + 512, dtype=float)
+        acc += np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (top + m + 1.0), axis=1)
+        m0 += 512
+        # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(top+m+1) <= 1
         if t ** m0 * (m0 * (1.0 - t) + 1.0) < SERIES_TOL:
             break
         if m0 >= SERIES_MAX_TERMS:
             raise RuntimeError(
                 f"series route did not reach tol={SERIES_TOL} within {SERIES_MAX_TERMS} terms "
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
-    return (1.0 - t) ** 2 * zv ** d * acc
+    total = 0j
+    for ((j, k), c), sums in zip(coeffs.items(), acc.tolist()):
+        value = (1.0 - t) ** 2 * zv ** abs(j - k) * sums
+        total += c * (value.conjugate() if j < k else value)
+    return total
 
 
 def berezin_symbol_exact(u: MonomialSymbol, z) -> complex:

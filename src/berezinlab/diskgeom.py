@@ -15,9 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Every kernel and automorphism formula has a (1 - |z|^2) singularity at the
 # boundary; points are kept a safe distance inside so all values stay finite.
@@ -40,7 +39,7 @@ class DiskPoint:
 
     def __post_init__(self):
         v = complex(self.value)
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
+        if not math.isfinite(v.real) or not math.isfinite(v.imag):
             raise DiskDomainError(f"disk point must be finite, got {v!r}")
         if abs(v) > DISK_RADIUS_MAX:
             raise DiskDomainError(

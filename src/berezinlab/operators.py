@@ -323,7 +323,7 @@ def analytic_commutator_defect(f, g, dim: int) -> TruncatedOperator:
     """
     big = 2 * dim
     a_f = toeplitz_exact(_analytic_symbol(f, big), big).matrix[:, :dim]
-    a_g = toeplitz_exact(_analytic_symbol(g, big), big).matrix[:, :dim]
+    a_g = a_f if g is f else toeplitz_exact(_analytic_symbol(g, big), big).matrix[:, :dim]
     m = a_f.conj().T @ a_g - a_g[:dim] @ a_f[:dim].conj().T
     return TruncatedOperator._adopt(m)
 

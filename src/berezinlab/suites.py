@@ -118,8 +118,9 @@ def battery_kernel_reproducing(cfg):
     worst = 0.0
     for _ in range(6):
         p = random_symbol(rng, max_degree=10, n_terms=6, analytic=True)
+        values = p.evaluate_array(rule.nodes)
         for z in sample_points(rng, 8, 0.8):
-            integrand = p.evaluate_array(rule.nodes) * np.conj(
+            integrand = values * np.conj(
                 1.0 / (1.0 - z.conjugate() * rule.nodes) ** 2)
             got = rule.integrate(integrand)
             worst = max(worst, abs(got - p.evaluate(z)))
@@ -223,18 +224,21 @@ def composed_block(u: MonomialSymbol, z, rule, block: int) -> TruncatedOperator:
     return toeplitz_quadrature(u.compose_mobius_evaluator(z), block, rule)
 
 
-def plain_compression_residuals(u: MonomialSymbol, z, dims, rule,
-                                block: int) -> list[float]:
-    """Leading-block residual of plain U_z T_u U_z against ``composed_block``.
+def plain_compression_residuals(symbols, z, dims, rule,
+                                block: int) -> list[list[float]]:
+    """Leading-block residuals of plain U_z T_u U_z against ``composed_block``.
 
-    One residual per dim; each multiplies three dim x dim truncations.
+    One list per symbol, one residual per dim in it; each multiplies
+    three dim x dim truncations, and each dim's U_z is built once for
+    all the symbols.
     """
-    rhs = composed_block(u, z, rule, block)
-    residuals = []
+    targets = [composed_block(u, z, rule, block) for u in symbols]
+    residuals = [[] for _ in targets]
     for dim in dims:
         uz = unitary_uz(z, dim)
-        lhs = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
-        residuals.append((lhs - rhs).norm_fro())
+        for u, rhs, row in zip(symbols, targets, residuals):
+            lhs = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
+            row.append((lhs - rhs).norm_fro())
     return residuals
 
 
@@ -288,9 +292,8 @@ def battery_covariance_decay(cfg):
     rule = build_rule(160, 640)
     worst_final = 0.0
     monotone = True
-    for u in syms:
-        for z in zs:
-            residuals = plain_compression_residuals(u, z, (32, 64, 128), rule, 16)
+    for z in zs:
+        for residuals in plain_compression_residuals(syms, z, (32, 64, 128), rule, 16):
             monotone = monotone and residuals[0] > residuals[1] > residuals[2]
             worst_final = max(worst_final, residuals[-1])
     return worst_final, {"monotone": monotone}, monotone

@@ -22,6 +22,10 @@ from .diskgeom import DiskPoint, disk_value
 # hand-built integer/Gaussian-integer corpora cancel exactly anyway.
 COEFF_REL_TOL = 1e-12
 FORMAT_DIGITS = 12  # significant digits format_complex writes
+# Nodes per slice of every node evaluation: each complex temporary of a
+# slice is 64 KB, below glibc's default 128 KB mmap threshold, so the
+# slices reuse heap memory instead of faulting in fresh pages.
+BLOCK_NODES = 4096
 
 _TERM_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*(\S+)\s*$")
 _COMPLEX_RE = re.compile(
@@ -70,6 +74,13 @@ class MonomialSymbol:
                 if c != 0:
                     table[(j, k)] = table.get((j, k), 0j) + c
         self._coeffs = {idx: c for idx, c in table.items() if c != 0}
+
+    @classmethod
+    def _adopt(cls, table: dict) -> "MonomialSymbol":
+        """Keep a table the class's own arithmetic built, less its exact zeros."""
+        sym = object.__new__(cls)
+        sym._coeffs = {idx: c for idx, c in table.items() if c != 0}
+        return sym
 
     # -- constructors -------------------------------------------------
 
@@ -144,7 +155,7 @@ class MonomialSymbol:
         table = dict(self._coeffs)
         for idx, c in other._coeffs.items():
             table[idx] = table.get(idx, 0j) + c
-        return MonomialSymbol(table)
+        return MonomialSymbol._adopt(table)
 
     def __sub__(self, other: "MonomialSymbol") -> "MonomialSymbol":
         return self + (-1.0) * other
@@ -156,7 +167,7 @@ class MonomialSymbol:
                 for (j2, k2), c2 in other._coeffs.items():
                     idx = (j1 + j2, k1 + k2)
                     table[idx] = table.get(idx, 0j) + c1 * c2
-            return MonomialSymbol(table)
+            return MonomialSymbol._adopt(table)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -167,20 +178,21 @@ class MonomialSymbol:
 
     def conjugate(self) -> "MonomialSymbol":
         """Pointwise complex conjugate: (j, k) -> (k, j) with conjugated coefficient."""
-        return MonomialSymbol({(k, j): c.conjugate()
-                               for (j, k), c in self._coeffs.items()})
+        # 0j + turns the -0.0 imaginary part of a real coefficient back into 0.0
+        return MonomialSymbol._adopt({(k, j): 0j + c.conjugate()
+                                      for (j, k), c in self._coeffs.items()})
 
     # -- Wirtinger calculus ---------------------------------------------
 
     def dz(self) -> "MonomialSymbol":
         """Wirtinger derivative d/dw (holomorphic direction)."""
-        return MonomialSymbol({(j - 1, k): j * c
-                               for (j, k), c in self._coeffs.items() if j > 0})
+        return MonomialSymbol._adopt({(j - 1, k): j * c
+                                      for (j, k), c in self._coeffs.items() if j > 0})
 
     def dzbar(self) -> "MonomialSymbol":
         """Wirtinger derivative d/d(conj w)."""
-        return MonomialSymbol({(j, k - 1): k * c
-                               for (j, k), c in self._coeffs.items() if k > 0})
+        return MonomialSymbol._adopt({(j, k - 1): k * c
+                                      for (j, k), c in self._coeffs.items() if k > 0})
 
     def laplacian(self) -> "MonomialSymbol":
         """Euclidean Laplacian, 4 d^2/dw d(conj w)."""
@@ -210,38 +222,46 @@ class MonomialSymbol:
 
         Each row sum_j c_jk w^j runs through Horner in w in one reused
         accumulator, and total = total * conj(w) + row_k combines the rows
-        from the top conj(w) degree k down.  Three work arrays serve any
-        number of terms; ``w`` is never written to.
+        from the top conj(w) degree k down, BLOCK_NODES entries of the
+        flattened input at a time into one output array; ``w`` is never
+        written to.
         """
+        return self._evaluate_by_slices(w, None)
+
+    def compose_mobius_evaluator(self, z):
+        """Vectorized evaluator for u(phi_z(.)), phi_z applied slice by slice."""
+        zv = disk_value(z)
+        return lambda w: self._evaluate_by_slices(w, zv)
+
+    def _evaluate_by_slices(self, w, zv) -> np.ndarray:
+        """u, or u o phi_zv unless zv is None, at every entry of ``w``."""
         w = np.asarray(w, dtype=complex)
+        out = np.empty(w.shape, dtype=complex)
+        flat_w, flat_out = w.reshape(-1), out.reshape(-1)
         rows = {}
         for (j, k), c in self._coeffs.items():
             rows.setdefault(k, {})[j] = c
-        total = np.zeros_like(w)
-        acc, wbar = np.empty_like(w), np.conj(w)
-        for k in range(self.deg_zbar, -1, -1):
-            row = rows.get(k)
-            if row:
-                top = max(row)
-                acc.fill(row[top])
-                for j in range(top - 1, -1, -1):
-                    acc *= w
-                    if j in row:
-                        acc += row[j]
-                total += acc
-            if k:
-                total *= wbar
-        return total
-
-    def compose_mobius_evaluator(self, z):
-        """Vectorized pointwise evaluator for u(phi_z(.))."""
-        zv = disk_value(z)
-
-        def evaluator(w):
-            w = np.asarray(w, dtype=complex)
-            return self.evaluate_array((zv - w) / (1.0 - zv.conjugate() * w))
-
-        return evaluator
+        acc_buf, wbar_buf = np.empty((2, min(flat_w.size, BLOCK_NODES)), dtype=complex)
+        for start in range(0, flat_w.size, BLOCK_NODES):
+            x = flat_w[start:start + BLOCK_NODES]
+            if zv is not None:
+                x = (zv - x) / (1.0 - zv.conjugate() * x)
+            total, acc = flat_out[start:start + len(x)], acc_buf[:len(x)]
+            wbar = np.conjugate(x, out=wbar_buf[:len(x)])
+            total.fill(0.0)
+            for k in range(self.deg_zbar, -1, -1):
+                row = rows.get(k)
+                if row:
+                    top = max(row)
+                    acc.fill(row[top])
+                    for j in range(top - 1, -1, -1):
+                        acc *= x
+                        if j in row:
+                            acc += row[j]
+                    total += acc
+                if k:
+                    total *= wbar
+        return out
 
 
 def nearly_zero(sym: MonomialSymbol, scale: float) -> bool:

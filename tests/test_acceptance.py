@@ -144,9 +144,12 @@ def test_criterion_05b_covariance_residual_monotone_in_truncation():
     rule = build_rule(160, 640)
     ok = True
     detail = []
-    for name, u in COVARIANCE_SYMBOLS.items():
+    symbols = list(COVARIANCE_SYMBOLS.values())
+    by_point = {z: plain_compression_residuals(symbols, z, (32, 64, 128), rule, 32)
+                for z in COVARIANCE_POINTS[:4]}
+    for i, name in enumerate(COVARIANCE_SYMBOLS):
         for z in COVARIANCE_POINTS[:4]:
-            residuals = plain_compression_residuals(u, z, (32, 64, 128), rule, 32)
+            residuals = by_point[z][i]
             monotone = residuals[0] > residuals[1] > residuals[2]
             ok = ok and monotone
             detail.append(f"{name}@{z}: " + ">".join(f"{r:.1e}" for r in residuals))

@@ -88,6 +88,45 @@ class TestSeriesRoute:
             bz.berezin_symbol_series(MOD2, 0.9999)
 
 
+def _per_monomial_series(u, z):
+    """Reference: each monomial series summed in its own blocks."""
+    def monomial(j, k, zv, t):
+        if j < k:
+            return monomial(k, j, zv, t).conjugate()
+        d, acc, m0 = j - k, 0.0, 0
+        while True:
+            m = np.arange(m0, m0 + 512, dtype=float)
+            acc += float(np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (j + m + 1.0)))
+            m0 += 512
+            if t ** m0 * (m0 * (1.0 - t) + 1.0) < bz.SERIES_TOL:
+                return (1.0 - t) ** 2 * zv ** d * acc
+
+    zv = complex(z)
+    t = abs(zv) ** 2
+    total = 0j
+    for (j, k), c in u.coeffs.items():
+        total += c * monomial(j, k, zv, t)
+    return total
+
+
+class TestSharedSeriesTable:
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 0.8, 0.99, 0.999])
+    def test_matches_per_monomial_sums_bitwise(self, radius):
+        rng = np.random.default_rng(44)
+        symbols = [suites.random_symbol(rng, max_degree=8, n_terms=8) for _ in range(6)]
+        symbols.append(MonomialSymbol({(3, 1): 1.0, (0, 2): 0.5j, (40, 10): 1.0}))
+        assert any(j < k for u in symbols for j, k in u.coeffs)
+        for u in symbols:
+            for angle in (0.0, 1.1, -2.5):
+                z = radius * np.exp(1j * angle)
+                assert bz.berezin_symbol_series(u, z) == _per_monomial_series(u, z)
+
+    def test_zero_symbol(self):
+        for z in (0.0, 0.5j, 0.99999):
+            value = bz.berezin_symbol_series(MonomialSymbol({}), z)
+            assert value == 0j and isinstance(value, complex)
+
+
 class TestExactRoute:
     def test_matches_series_broadly(self):
         rng = np.random.default_rng(22)

@@ -408,3 +408,11 @@ class TestAnalyticCommutatorDefect:
     def test_rejects_nonanalytic_symbol(self):
         with pytest.raises(ValueError):
             analytic_commutator_defect(WBAR, W, 8)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BlaschkeProduct([0.5, 0.75j, -0.3 + 0.2j]),
+        lambda: MonomialSymbol({(0, 0): 0.5, (1, 0): 1.0, (3, 0): -2j})])
+    def test_same_input_twice_matches_an_equal_copy(self, make):
+        f = make()
+        shared = analytic_commutator_defect(f, f, 32).matrix
+        assert np.array_equal(shared, analytic_commutator_defect(f, make(), 32).matrix)

@@ -192,6 +192,101 @@ class TestEvaluateArray:
             assert np.max(np.abs(got - want)) < 1e-14
 
 
+def _whole_array_horner(u, w):
+    """Reference: nested Horner over the whole input at once, no slices."""
+    w = np.asarray(w, dtype=complex)
+    rows = {}
+    for (j, k), c in u.coeffs.items():
+        rows.setdefault(k, {})[j] = c
+    total = np.zeros_like(w)
+    acc, wbar = np.empty_like(w), np.conj(w)
+    for k in range(u.deg_zbar, -1, -1):
+        row = rows.get(k)
+        if row:
+            top = max(row)
+            acc.fill(row[top])
+            for j in range(top - 1, -1, -1):
+                acc *= w
+                if j in row:
+                    acc += row[j]
+            total += acc
+        if k:
+            total *= wbar
+    return total
+
+
+class TestSlicedEvaluation:
+    """Slice-by-slice evaluation against a whole-array Horner reference."""
+
+    SYMBOLS = [_random_symbol(np.random.default_rng(24), max_degree=10, n_terms=8)
+               for _ in range(3)] + [MonomialSymbol({})]
+
+    @staticmethod
+    def _points(count):
+        rng = np.random.default_rng(count)
+        r = 0.999 * np.sqrt(rng.uniform(size=count))
+        return r * np.exp(2j * np.pi * rng.uniform(size=count))
+
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 8192, 20480])
+    def test_whole_slices_match_bitwise(self, count):
+        w = self._points(count)
+        for u in self.SYMBOLS:
+            assert np.array_equal(u.evaluate_array(w), _whole_array_horner(u, w))
+            for z in (0.0, 0.4 - 0.3j, 0.99j):
+                composed = u.compose_mobius_evaluator(z)(w)
+                assert np.array_equal(composed, _whole_array_horner(u, _phi(z, w)))
+
+    def test_grid_matches_bitwise(self, default_rule):
+        grid = default_rule.node_grid()
+        for u in self.SYMBOLS:
+            got = u.evaluate_array(grid)
+            assert got.shape == grid.shape
+            assert np.array_equal(got, _whole_array_horner(u, grid))
+            composed = u.compose_mobius_evaluator(0.5 + 0.2j)(grid)
+            assert np.array_equal(composed, _whole_array_horner(u, _phi(0.5 + 0.2j, grid)))
+
+    @pytest.mark.parametrize("count", [4097, 3 * 4096 + 5])
+    def test_ragged_tail_within_four_ulps(self, count):
+        # numpy may round a loop over a few trailing entries differently
+        w = self._points(count)
+        for u in self.SYMBOLS:
+            for got, want in ((u.evaluate_array(w), _whole_array_horner(u, w)),
+                              (u.compose_mobius_evaluator(0.6j)(w),
+                               _whole_array_horner(u, _phi(0.6j, w)))):
+                ulp = np.spacing(np.max(np.abs(want), initial=0.0))
+                assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
+
+
+class TestAdopt:
+    """The arithmetic's unvalidated tables equal what the constructor would keep."""
+
+    @staticmethod
+    def _same_as_constructor(sym):
+        # repr tells -0.0 from 0.0, so the coefficients agree bit for bit
+        rebuilt = MonomialSymbol(sym.coeffs)
+        assert repr(list(sym.coeffs.items())) == repr(list(rebuilt.coeffs.items()))
+        assert all(c != 0 for c in sym.coeffs.values())
+
+    def test_arithmetic_matches_constructor(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            a = _random_symbol(rng, max_degree=5, n_terms=5)
+            b = _random_symbol(rng, max_degree=5, n_terms=5)
+            real = MonomialSymbol({(j, k): c.real for (j, k), c in a.coeffs.items()})
+            for sym in (a + b, a * b, a.conjugate(), real.conjugate(), a.dz(),
+                        a.dzbar(), real.dz(), (a * b).laplacian()):
+                self._same_as_constructor(sym)
+
+    def test_exact_cancellation_drops_terms(self):
+        u = MonomialSymbol({(2, 1): 1 - 2j, (0, 0): 0.5})
+        assert (u - u).is_zero()
+        assert (u + (-1.0) * u).coeffs == {}
+        product = (W + WBAR) * (W - WBAR)   # the |w|^2 terms cancel
+        assert product.coeffs == {(2, 0): 1, (0, 2): -1}
+        assert MonomialSymbol.constant(3.0).dz().is_zero()
+        assert W.dzbar().is_zero()
+
+
 class TestClassifier:
     def test_both_analytic(self):
         out = classify_harmonic_product(W, W)

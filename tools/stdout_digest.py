@@ -9,9 +9,10 @@ passes through.  Two trees whose lines agree printed the same bytes on
 stdout for every command.  The list holds the README's ``berezinlab``
 examples, the commands of perfbench's cli-session for seeds 1-3, the
 three symbol ``decay`` fields at ``--kmax 39`` for three symbols, and a
-few commands that reach the commutator defect, the series route and
-the quadrature Toeplitz builder with other inputs.  It reads
-``perfbench/`` and writes nothing.
+few commands that reach the commutator defect, the series route (near
+the rim too) and the quadrature Toeplitz builder with other inputs,
+one of them on a grid of one full node slice and a ragged tail.  It
+reads ``perfbench/`` and writes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ EXTRA = [
     ["commutator", "--f", "1,0:1;2,0:0.5", "--g", "3,0:1i", "--kmax", "20",
      "--trunc", "32", "--format", "csv"],
     ["berezin", "--symbol", "40,10:1;1,1:1", "--z", "0.9,0.95i", "--route", "series"],
+    ["berezin", "--symbol", "3,1:1;0,2:0.5i", "--z", "0.999,0.9995i", "--route", "series"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "16"],
+    ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
+     "--nr", "81", "--ntheta", "100"],
 ]
 
 
