@@ -2,13 +2,15 @@
 
 Commands: ``berezin``, ``toeplitz``, ``uz``, ``identity-suite``,
 ``commutator``, ``decay``.  Each takes only the shared options it reads,
-and its report embeds those with the numerical policy it uses.  Floats
+and its report embeds those with the numerical policy it uses
+(``identity-suite`` reads none and reports its pinned sizes).  Floats
 have 12 significant digits and ordering is fixed, so output is
 deterministic given the arguments.
 
 Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``,
-``--nr`` or ``--ntheta`` included), 3 reliability flag raised under
-``--strict``, 4 invariant failure in suites, 5 numerical failure.
+``--nr`` or ``--ntheta`` included; ``main`` alone maps a ``CLIError`` or
+``ValueError`` to it), 3 reliability flag raised under ``--strict``,
+4 invariant failure in suites, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ ROUTE_ORDER = ("series", "quadrature", "operator")
 
 
 class CLIError(Exception):
-    """Invalid input that argparse itself cannot catch."""
+    """An input error the CLI finds itself, not argparse or a parser."""
 
 
 def _fmt(x: float) -> str:
@@ -89,11 +91,6 @@ def _emit(payload: dict, rows, header, args) -> None:
         _write_output([buf.getvalue()], args.out)
 
 
-def _config_from(args) -> bz.BerezinConfig:
-    return bz.BerezinConfig(truncation=args.trunc, n_radial=args.nr,
-                            n_angular=args.ntheta)
-
-
 # The fixed numerical policy, embedded in every report but the matrix dumps;
 # the reports with a series route add SERIES_POLICY.
 POLICY = {"fd_step": bz.FD_STEP, "reliability_tol": bz.RELIABILITY_TOL}
@@ -111,19 +108,17 @@ def _check_matrix_budget(args) -> None:
 
     They are the N x N matrix (2N x 2N for commutator) and, where a rule
     is built, leggauss's nr x nr companion, the nodes and, for toeplitz
-    --quadrature, nr x (2N - 1) radial powers; identity-suite also doubles
-    the rule and tabulates 41 rows of nodes (moment-oracle).
+    --quadrature, nr x (2N - 1) radial powers.  identity-suite takes no
+    sizes: its largest array, at its pinned sizes, is 13.4 MB.
     Negative sizes are left to fail later with their own errors.
     """
     n = getattr(args, "trunc", 0) * (2 if args.command == "commutator" else 1)
     arrays = [(f"a {n} x {n} complex matrix", 16 * max(n, 0) ** 2)]
-    if (args.command == "identity-suite" or getattr(args, "quadrature", False)
+    if (getattr(args, "quadrature", False)
             or getattr(args, "route", "") in ("quadrature", "all")):
-        nr, rows, nodes = args.nr, 1, max(args.nr, 0) * max(args.ntheta, 0)
-        if args.command == "identity-suite":
-            nr, rows = 2 * nr, 41
+        nr, nodes = args.nr, max(args.nr, 0) * max(args.ntheta, 0)
         arrays += [(f"a {nr} x {nr} companion matrix", 8 * max(nr, 0) ** 2),
-                   (f"a {rows} x {nodes} complex node table", 16 * rows * nodes)]
+                   (f"a 1 x {nodes} complex node table", 16 * nodes)]
         if getattr(args, "quadrature", False):
             arrays.append((f"a {nr} x {2 * n - 1} radial power table",
                            8 * max(nr, 0) * max(2 * n - 1, 0)))
@@ -161,20 +156,10 @@ def _write_matrix(op, inputs: dict, args) -> int:
 
 
 def _parse_z_list(text: str):
-    try:
-        values = [parse_complex(chunk) for chunk in text.split(",") if chunk.strip()]
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    values = [parse_complex(chunk) for chunk in text.split(",") if chunk.strip()]
     if not values:
         raise CLIError("empty z list")
     return values
-
-
-def _parse_symbol(text: str) -> MonomialSymbol:
-    try:
-        return MonomialSymbol.from_string(text)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +167,9 @@ def _parse_symbol(text: str) -> MonomialSymbol:
 # ---------------------------------------------------------------------------
 
 def cmd_berezin(args) -> int:
-    cfg = _config_from(args)
-    symbol = _parse_symbol(args.symbol)
+    cfg = bz.BerezinConfig(truncation=args.trunc, n_radial=args.nr,
+                           n_angular=args.ntheta)
+    symbol = MonomialSymbol.from_string(args.symbol)
     zs = _parse_z_list(args.z)
     routes = ROUTE_ORDER if args.route == "all" else (args.route,)
     rule = cfg.rule() if "quadrature" in routes else None
@@ -227,7 +213,7 @@ def cmd_berezin(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
-    symbol = _parse_symbol(args.symbol)
+    symbol = MonomialSymbol.from_string(args.symbol)
     if args.quadrature:
         rule = bz.cached_rule(args.nr, args.ntheta)
         op = toeplitz_quadrature(symbol.evaluate_array, args.trunc, rule,
@@ -239,24 +225,19 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_uz(args) -> int:
-    try:
-        z = parse_complex(args.z)
-        op = unitary_uz(z, args.trunc)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    z = parse_complex(args.z)
+    op = unitary_uz(z, args.trunc)
     return _write_matrix(op, {"command": "uz", "z": [z.real, z.imag]}, args)
 
 
 def cmd_identity_suite(args) -> int:
-    cfg = _config_from(args)
-    try:
-        results = run_batteries(cfg, only=args.only)
-    except KeyError as exc:
-        raise CLIError(str(exc)) from exc
+    results = run_batteries(only=args.only)
     rows = [(r.battery, "pass" if r.passed else "FAIL", r.max_residual,
              r.tolerance, r.description) for r in results]
     payload = {"inputs": {"command": "identity-suite", "only": args.only},
-               "config": {**_dump_config(args), **POLICY, **SERIES_POLICY},
+               # the pinned sizes, under the report names of --trunc/--nr/--ntheta
+               "config": {**vars(bz.DEFAULT_CONFIG), **_dump_config(args), **POLICY,
+                          **SERIES_POLICY},
                "results": [{"battery": r.battery, "passed": r.passed,
                             "max_residual": r.max_residual, "tolerance": r.tolerance,
                             "description": r.description, "details": r.details}
@@ -270,7 +251,7 @@ def _parse_indicator_input(symbol_text, blaschke_text, other: BlaschkeProduct | 
     if (symbol_text is None) == (blaschke_text is None):
         raise CLIError("give exactly one of --f/--blaschke-f (resp. --g/--blaschke-g)")
     if symbol_text is not None:
-        sym = _parse_symbol(symbol_text)
+        sym = MonomialSymbol.from_string(symbol_text)
         if not sym.is_analytic():
             raise CLIError(f"symbol {symbol_text!r} is not analytic")
         return sym
@@ -278,10 +259,7 @@ def _parse_indicator_input(symbol_text, blaschke_text, other: BlaschkeProduct | 
         if other is None:
             raise CLIError("'same' needs --blaschke-f to copy from")
         return other
-    try:
-        return parse_blaschke_zeros(blaschke_text)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    return parse_blaschke_zeros(blaschke_text)
 
 
 def _profile_payload(profile: bz.DecayProfile) -> dict:
@@ -331,7 +309,7 @@ def cmd_decay(args) -> int:
     if args.field == "factored-laplacian":
         if not args.factor:
             raise CLIError("factored-laplacian needs at least one --factor")
-        factors = [_parse_symbol(text) for text in args.factor]
+        factors = [MonomialSymbol.from_string(text) for text in args.factor]
         for sym in factors:
             if not sym.is_harmonic():
                 raise CLIError(f"factor {sym.to_string()!r} is not harmonic")
@@ -339,7 +317,7 @@ def cmd_decay(args) -> int:
     else:
         if args.symbol is None:
             raise CLIError(f"field {args.field!r} needs --symbol")
-        u = _parse_symbol(args.symbol)
+        u = MonomialSymbol.from_string(args.symbol)
         if args.field == "berezin-minus-symbol":
             fieldfn = lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z)
         elif args.field == "invariant-laplacian":
@@ -410,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="dump the truncated Mobius unitary as JSON")
     p.add_argument("--z", required=True)
 
-    p = command("identity-suite", cmd_identity_suite, "out format trunc nr ntheta",
+    p = command("identity-suite", cmd_identity_suite, "out format",
                 help="run the invariant batteries and report pass/fail")
     p.add_argument("--only", default=None, choices=sorted(BATTERIES),
                    metavar="BATTERY", help="run a single battery")

@@ -1,10 +1,11 @@
 """Named invariant batteries behind the ``identity-suite`` CLI command.
 
 Each battery checks one family of identities at pinned tolerances and
-reports its worst residual.  Batteries draw their random inputs from
-fixed seeds so suite output is reproducible run to run.  The acceptance
-gate draws its inputs and shared identities from this module, so each
-identity check is coded once.
+reports its worst residual.  The tolerances are pinned for the sizes of
+``bz.DEFAULT_CONFIG``, which the batteries read directly.  Batteries draw
+their random inputs from fixed seeds so suite output is reproducible run
+to run.  The acceptance gate draws its inputs and shared identities from
+this module, so each identity check is coded once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ BATTERIES = {}
 
 
 def battery(name: str, description: str, tolerance: float):
-    """Register ``check(cfg)`` as battery ``name``; registration order is report order.
+    """Register ``check()`` as battery ``name``; registration order is report order.
 
     ``check`` returns its worst residual, or ``(residual, details, ok)``
     when the report carries details or passing needs the extra
@@ -44,8 +45,8 @@ def battery(name: str, description: str, tolerance: float):
     """
     def register(check):
         @functools.wraps(check)
-        def run(cfg) -> BatteryResult:
-            out = check(cfg)
+        def run() -> BatteryResult:
+            out = check()
             residual, details, ok = out if isinstance(out, tuple) else (out, {}, True)
             return BatteryResult(name, description, bool(ok and residual <= tolerance),
                                  float(residual), float(tolerance), details)
@@ -80,8 +81,8 @@ def sample_points(rng, count, r_max):
 
 
 def _coeff_residual(a: MonomialSymbol, b: MonomialSymbol) -> float:
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeffs.get(idx, 0j) - b.coeffs.get(idx, 0j)) for idx in keys),
+    ca, cb = a.coeffs, b.coeffs
+    return max((abs(ca.get(idx, 0j) - cb.get(idx, 0j)) for idx in ca.keys() | cb.keys()),
                default=0.0)
 
 
@@ -90,7 +91,7 @@ def _coeff_residual(a: MonomialSymbol, b: MonomialSymbol) -> float:
 # ---------------------------------------------------------------------------
 
 @battery("mobius-involution", "phi_z is its own compositional inverse", 1e-12)
-def battery_mobius_involution(cfg):
+def battery_mobius_involution():
     rng = np.random.default_rng(101)
     worst = 0.0
     for z, w in zip(sample_points(rng, 200, 0.95), sample_points(rng, 200, 0.95)):
@@ -100,7 +101,7 @@ def battery_mobius_involution(cfg):
 
 @battery("mobius-modulus-identity",
          "(1-|phi_z(w)|^2) factors through the kernel denominator", 1e-12)
-def battery_mobius_modulus(cfg):
+def battery_mobius_modulus():
     rng = np.random.default_rng(102)
     worst = 0.0
     for z, w in zip(sample_points(rng, 200, 0.95), sample_points(rng, 200, 0.95)):
@@ -112,9 +113,9 @@ def battery_mobius_modulus(cfg):
 
 @battery("kernel-reproducing",
          "integrating p against conj(K_z) evaluates p at z", 1e-10)
-def battery_kernel_reproducing(cfg):
+def battery_kernel_reproducing():
     rng = np.random.default_rng(103)
-    rule = cfg.rule()
+    rule = bz.DEFAULT_CONFIG.rule()
     worst = 0.0
     for _ in range(6):
         p = random_symbol(rng, max_degree=10, n_terms=6, analytic=True)
@@ -133,7 +134,7 @@ def battery_kernel_reproducing(cfg):
 
 @battery("symbol-calculus",
          "Leibniz rule, linearity, and the harmonic product Laplacian", 1e-12)
-def battery_symbol_calculus(cfg):
+def battery_symbol_calculus():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(25):
@@ -155,7 +156,7 @@ def battery_symbol_calculus(cfg):
 @battery("harmonic-product-classifier",
          "classification agrees with the exact Laplacian and witnesses"
          " solve the matched-derivative equations", 1e-10)
-def battery_harmonic_classifier(cfg):
+def battery_harmonic_classifier():
     rng = np.random.default_rng(105)
     worst = 0.0
     matched = 0
@@ -192,9 +193,9 @@ def measured_moment_table(rule, degree: int) -> np.ndarray:
 
 @battery("moment-oracle",
          "default rule reproduces all monomial moments to degree 40", 1e-13)
-def battery_moment_oracle(cfg):
+def battery_moment_oracle():
     degree = 40
-    table = measured_moment_table(cfg.rule(), degree)
+    table = measured_moment_table(bz.DEFAULT_CONFIG.rule(), degree)
     exact = np.zeros_like(table)
     for a in range(degree + 1):
         exact[a, a] = monomial_moment(a, a)
@@ -203,9 +204,9 @@ def battery_moment_oracle(cfg):
 
 @battery("rule-doubling-stability",
          "doubling both rule sizes moves polynomial integrals below 1e-10", 1e-10)
-def battery_rule_doubling(cfg):
+def battery_rule_doubling():
     rng = np.random.default_rng(106)
-    rule = cfg.rule()
+    rule = bz.DEFAULT_CONFIG.rule()
     doubled = build_rule(2 * rule.n_radial, 2 * rule.n_angular)
     worst = 0.0
     for _ in range(8):
@@ -244,9 +245,9 @@ def plain_compression_residuals(symbols, z, dims, rule,
 
 @battery("toeplitz-linearity-adjoint",
          "symbol linearity and conjugation-adjoint correspondence", 1e-13)
-def battery_toeplitz_structure(cfg):
+def battery_toeplitz_structure():
     rng = np.random.default_rng(107)
-    dim = cfg.truncation
+    dim = bz.DEFAULT_CONFIG.truncation
     worst = 0.0
     for _ in range(10):
         u = random_symbol(rng, max_degree=5)
@@ -262,10 +263,10 @@ def battery_toeplitz_structure(cfg):
 
 @battery("toeplitz-norm-contractivity",
          "truncated Toeplitz norm stays below the symbol sup on nodes", 1e-6)
-def battery_toeplitz_contractivity(cfg):
+def battery_toeplitz_contractivity():
     rng = np.random.default_rng(108)
-    dim = cfg.truncation
-    rule = cfg.rule()
+    dim = bz.DEFAULT_CONFIG.truncation
+    rule = bz.DEFAULT_CONFIG.rule()
     syms = [MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1),
             MonomialSymbol.monomial(1, 1), MonomialSymbol.constant(1.0)]
     syms += [random_symbol(rng, max_degree=4) for _ in range(4)]
@@ -279,7 +280,7 @@ def battery_toeplitz_contractivity(cfg):
 @battery("covariance-residual-decay",
          "conjugation route converges to the composed-symbol operator"
          " on a fixed block as the truncation doubles", 1e-6)
-def battery_covariance_decay(cfg):
+def battery_covariance_decay():
     """Conjugation route vs the true composed-symbol block, N doubling.
 
     The truncated U_z is only faithful on columns p <~ N(1-|z|)/(1+|z|),
@@ -302,7 +303,7 @@ def battery_covariance_decay(cfg):
 @battery("unitary-orthonormality",
          "truncated U_z is self-adjoint, sends 1 to -k_z, and is"
          " orthonormal and involutive on its faithful blocks", 1e-8)
-def battery_unitary_orthonormality(cfg):
+def battery_unitary_orthonormality():
     """Orthonormality and involution of U_z on its faithful blocks.
 
     Column p of the compression carries its mass on modes up to about
@@ -342,13 +343,13 @@ def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points,
 
 @battery("route-agreement",
          "series, exact, quadrature, mean-value and operator routes agree", 1e-6)
-def battery_route_agreement(cfg):
+def battery_route_agreement():
     rng = np.random.default_rng(109)
-    rule = cfg.rule()
+    rule = bz.DEFAULT_CONFIG.rule()
     vs_quad = vs_op = vs_exact = vs_mean = 0.0
     for _ in range(10):
         u = random_symbol(rng, max_degree=6)
-        op = toeplitz_exact(u, cfg.truncation)
+        op = toeplitz_exact(u, bz.DEFAULT_CONFIG.truncation)
         for z in sample_points(rng, 6, 0.8):
             series = bz.berezin_symbol_series(u, z)
             vs_quad = max(vs_quad, abs(series - bz.berezin_symbol_quadrature(u, z, rule)))
@@ -362,7 +363,7 @@ def battery_route_agreement(cfg):
 
 
 @battery("harmonic-fixed-point", "harmonic symbols are fixed by the transform", 1e-8)
-def battery_harmonic_fixed_point(cfg):
+def battery_harmonic_fixed_point():
     rng = np.random.default_rng(110)
     worst = 0.0
     for _ in range(10):
@@ -374,9 +375,9 @@ def battery_harmonic_fixed_point(cfg):
 
 @battery("positivity-contractivity",
          "nonnegative symbols keep nonnegative, sup-bounded transforms", 1e-10)
-def battery_positivity_contractivity(cfg):
+def battery_positivity_contractivity():
     rng = np.random.default_rng(111)
-    rule = cfg.rule()
+    rule = bz.DEFAULT_CONFIG.rule()
     worst = 0.0
     for _ in range(6):
         p = random_symbol(rng, max_degree=3, analytic=True)
@@ -391,7 +392,7 @@ def battery_positivity_contractivity(cfg):
 
 @battery("semicommutator-identity",
          "(uv)~ - uv equals the transform of the semicommutator defect", 1e-6)
-def battery_semicommutator_identity(cfg):
+def battery_semicommutator_identity():
     rng = np.random.default_rng(112)
     pairs = [(MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1))]
     pairs += [(random_symbol(rng, max_degree=4, harmonic=True),
@@ -399,14 +400,14 @@ def battery_semicommutator_identity(cfg):
     worst = 0.0
     for u, v in pairs:
         worst = max(worst, semicommutator_residual(
-            u, v, sample_points(rng, 6, 0.7), cfg.truncation))
+            u, v, sample_points(rng, 6, 0.7), bz.DEFAULT_CONFIG.truncation))
     return worst
 
 
 @battery("product-factorization",
          "transform of an operator product matches its conjugated"
          " evaluation at the constants", 1e-6)
-def battery_product_factorization(cfg):
+def battery_product_factorization():
     rng = np.random.default_rng(113)
     base = [MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1),
             MonomialSymbol.monomial(1, 1)]
@@ -415,20 +416,21 @@ def battery_product_factorization(cfg):
         for _ in range(4):
             symbols = [base[int(rng.integers(0, 3))] for _ in range(n)]
             z = complex(sample_points(rng, 1, 0.5)[0])
-            outcome = bz.berezin_of_product(symbols, z, cfg.truncation)
+            outcome = bz.berezin_of_product(symbols, z, bz.DEFAULT_CONFIG.truncation)
             worst = max(worst, outcome.residual)
     return worst
 
 
 @battery("laplacian-consistency",
          "operator, moment and finite-difference Laplacians agree at 0", 1e-5)
-def battery_laplacian_consistency(cfg):
+def battery_laplacian_consistency():
     rng = np.random.default_rng(114)
+    dim = bz.DEFAULT_CONFIG.truncation
     closed = 0.0
     fd = 0.0
     for _ in range(8):
         u = random_symbol(rng, max_degree=6, scale=0.5)
-        op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, cfg.truncation))
+        op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, dim))
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
         fd_route = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(u, z), 0j)
         closed = max(closed, abs(op_route - sym_route))
@@ -439,7 +441,7 @@ def battery_laplacian_consistency(cfg):
 
 @battery("berezin-injectivity",
          "least-squares inversion of transform samples recovers the matrix", 1e-4)
-def battery_injectivity(cfg):
+def battery_injectivity():
     rng = np.random.default_rng(115)
     worst = 0.0
     for _ in range(3):
@@ -454,9 +456,9 @@ def battery_injectivity(cfg):
 @battery("invariant-laplacian-integral",
          "the averaged defect integral equals the invariant Laplacian"
          " of the transform", 1e-5)
-def battery_invariant_laplacian_integral(cfg):
+def battery_invariant_laplacian_integral():
     rng = np.random.default_rng(116)
-    rule = cfg.rule()
+    rule = bz.DEFAULT_CONFIG.rule()
     worst = 0.0
     for _ in range(5):
         u = random_symbol(rng, max_degree=4, scale=0.5)
@@ -469,18 +471,16 @@ def battery_invariant_laplacian_integral(cfg):
 
 
 @battery("covariance-field", "the transform field commutes with disk automorphisms", 1e-5)
-def battery_covariance_field(cfg):
-    op = toeplitz_exact(MonomialSymbol.monomial(1, 1), cfg.truncation)
+def battery_covariance_field():
+    dim = bz.DEFAULT_CONFIG.truncation
+    op = toeplitz_exact(MonomialSymbol.monomial(1, 1), dim)
     check = bz.covariance_field_check(op, 0.3, 0.3)
-    ident = bz.covariance_field_check(TruncatedOperator(np.eye(cfg.truncation)), 0.4 + 0.1j, 0.2j)
+    ident = bz.covariance_field_check(TruncatedOperator(np.eye(dim)), 0.4 + 0.1j, 0.2j)
     return max(check.value_residual, check.laplacian_residual,
                ident.value_residual, ident.laplacian_residual)
 
 
-def run_batteries(config: bz.BerezinConfig = bz.DEFAULT_CONFIG,
-                  only: str | None = None) -> list[BatteryResult]:
+def run_batteries(only: str | None = None) -> list[BatteryResult]:
     if only is not None:
-        if only not in BATTERIES:
-            raise KeyError(f"unknown battery {only!r}; choices: {sorted(BATTERIES)}")
-        return [BATTERIES[only](config)]
-    return [fn(config) for fn in BATTERIES.values()]
+        return [BATTERIES[only]()]
+    return [run() for run in BATTERIES.values()]

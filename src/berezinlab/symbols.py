@@ -9,6 +9,7 @@ interest, and makes harmonicity a finite exact test on coefficients.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +72,8 @@ class MonomialSymbol:
                 if j < 0 or k < 0:
                     raise ValueError("monomial indices must be nonnegative")
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"coefficient of term {j},{k} is not finite")
                 if c != 0:
                     table[(j, k)] = table.get((j, k), 0j) + c
         self._coeffs = {idx: c for idx, c in table.items() if c != 0}

@@ -265,5 +265,5 @@ def test_criterion_09_boundary_decay_indicator():
 def test_criterion_10_moment_oracle():
     # every monomial moment with exponents <= 40 matches delta_ab/(a+1)
     # to 1e-13 under the default rule: the moment-oracle battery exactly
-    result = BATTERIES["moment-oracle"](bz.BerezinConfig())
+    result = BATTERIES["moment-oracle"]()
     report(10, result.passed, f"max moment error = {result.max_residual:.3e}")

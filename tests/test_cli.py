@@ -5,12 +5,13 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from berezinlab import cli, suites
+from berezinlab import cli
 from berezinlab.berezin import DEFAULT_CONFIG
 from berezinlab.operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
 from berezinlab.suites import BatteryResult
@@ -226,7 +227,6 @@ class TestMatrixBudget:
         assert not self.within_budget(["uz", "--z", "0", "--trunc", "4097"])
         assert not self.within_budget(["berezin", "--symbol", "1,1:1", "--z", "0",
                                        "--trunc", "4097"])
-        assert not self.within_budget(["identity-suite", "--trunc", "4097"])
 
     def test_commutator_counts_the_pad(self):
         # the defect is cut from Toeplitz matrices padded by N: 2N x 2N
@@ -243,8 +243,7 @@ class TestMatrixBudget:
 
     def test_rule_sizes_counted_where_a_rule_is_built(self):
         # leggauss's nr x nr companion matrix and the complex node array;
-        # identity-suite doubles the rule and keeps 41 rows of its nodes, and
-        # toeplitz --quadrature tabulates nr x (2N - 1) weighted radial powers
+        # toeplitz --quadrature also tabulates nr x (2N - 1) weighted radial powers
         quadrature = ["toeplitz", "--symbol", "1,1:1", "--quadrature"]
         assert self.within_budget(quadrature + ["--nr", "5792"])
         assert not self.within_budget(quadrature + ["--nr", "5793"])
@@ -258,10 +257,6 @@ class TestMatrixBudget:
         assert self.within_budget(berezin + ["--route", "operator"])
         assert not self.within_budget(berezin + ["--route", "quadrature"])
         assert not self.within_budget(berezin)
-        assert self.within_budget(["identity-suite", "--ntheta", "1", "--nr", "2896"])
-        assert not self.within_budget(["identity-suite", "--ntheta", "1", "--nr", "2897"])
-        assert self.within_budget(["identity-suite", "--ntheta", "5115"])
-        assert not self.within_budget(["identity-suite", "--ntheta", "5116"])
 
     def test_radial_table_refused_before_build(self, monkeypatch, capsys):
         def must_not_build(*args, **kwargs):
@@ -277,14 +272,12 @@ class TestMatrixBudget:
     @pytest.mark.parametrize("argv", [
         ["berezin", "--symbol", "1,1:1", "--z", "0"],
         ["berezin", "--symbol", "1,1:1", "--z", "0", "--route", "quadrature"],
-        ["toeplitz", "--symbol", "1,1:1", "--quadrature"],
-        ["identity-suite"]])
+        ["toeplitz", "--symbol", "1,1:1", "--quadrature"]])
     @pytest.mark.parametrize("option", ["--nr", "--ntheta"])
     def test_oversized_rule_refused_before_build(self, argv, option, monkeypatch, capsys):
         def must_not_build(*args, **kwargs):
             raise AssertionError("a rule was built")
         monkeypatch.setattr(cli.bz, "cached_rule", must_not_build)
-        monkeypatch.setattr(suites, "build_rule", must_not_build)
         assert run(argv + [option, "1000000000000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a ") and err.endswith("-byte budget\n")
@@ -315,7 +308,7 @@ class TestIdentitySuite:
         assert rows[1][1] == "pass"
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
-        def always_fails(cfg):
+        def always_fails():
             return BatteryResult("always-fails", "stub", False, 1.0, 1e-9, {})
         monkeypatch.setitem(cli.BATTERIES, "always-fails", always_fails)
         out = tmp_path / "suite.json"
@@ -484,9 +477,9 @@ COMMANDS = {
                 POLICY_KEYS | {"series_tol"}),
     "toeplitz": (["--symbol", "1,1:1", "--trunc", "8"], "--out --trunc --nr --ntheta", set()),
     "uz": (["--z", "0.3", "--trunc", "4"], "--out --trunc", set()),
-    "identity-suite": (["--only", "mobius-involution"],
-                       "--out --format --trunc --nr --ntheta",
-                       POLICY_KEYS | {"series_tol"}),
+    # runs at its pinned truncation and rule, and reports them
+    "identity-suite": (["--only", "mobius-involution"], "--out --format",
+                       POLICY_KEYS | {"series_tol", "truncation", "n_radial", "n_angular"}),
     "commutator": (["--f", "1,0:1", "--g", "1,0:1", "--kmax", "4", "--trunc", "16"],
                    "--out --format --trunc --strict",
                    POLICY_KEYS | {"dim", "pad", "threshold", "radii", "angle", "aperture"}),
@@ -502,8 +495,8 @@ DROPPED += [("commutator", option) for option in FIXED_VALUES]
 
 
 class TestOptionSurface:
-    def test_twenty_one_options_dropped(self):
-        assert len(DROPPED) == 21
+    def test_twenty_four_options_dropped(self):
+        assert len(DROPPED) == 24
 
     @pytest.mark.parametrize("command,option", DROPPED)
     def test_dropped_option_is_usage_error(self, command, option, capsys):
@@ -520,6 +513,64 @@ class TestOptionSurface:
         config = json.loads(capsys.readouterr().out)["config"]
         expected = {CONFIG_NAMES[o] for o in kept.split() if o in CONFIG_NAMES} | extra
         assert set(config) == expected
+
+
+# Input errors, each with the one stderr line it prints after "error: ".
+# OUT stands for a path in a directory that does not exist.
+ERROR_LINES = [
+    (["berezin", "--symbol", "1,1", "--z", "0"], "cannot parse symbol term '1,1'"),
+    (["toeplitz", "--symbol", "1,1:x", "--trunc", "8"], "cannot parse complex literal 'x'"),
+    (["berezin", "--symbol", "1,1:1", "--z", "0.3+x"],
+     "cannot parse complex literal '0.3+x'"),
+    (["uz", "--z", "abc", "--trunc", "4"], "cannot parse complex literal 'abc'"),
+    (["berezin", "--symbol", "1,1:1", "--z", ","], "empty z list"),
+    (["berezin", "--symbol", "1,1:1", "--z", "0.5,2.0"],
+     "|z| = 2 exceeds the allowed disk radius 0.999999999999"),
+    (["uz", "--z", "1.0", "--trunc", "4"],
+     "|z| = 1 exceeds the allowed disk radius 0.999999999999"),
+    (["commutator", "--blaschke-f", "0.5,x", "--g", "1,0:1"],
+     "cannot parse complex literal 'x'"),
+    (["commutator", "--blaschke-f", ",", "--g", "1,0:1"], "Blaschke zero list is empty"),
+    (["commutator", "--blaschke-f", "1.5", "--g", "1,0:1"],
+     "|z| = 1.5 exceeds the allowed disk radius 0.999999999999"),
+    (["commutator", "--f", "0,1:1", "--g", "1,0:1"], "symbol '0,1:1' is not analytic"),
+    (["commutator", "--g", "1,0:1"],
+     "give exactly one of --f/--blaschke-f (resp. --g/--blaschke-g)"),
+    (["commutator", "--f", "1,0:1", "--blaschke-g", "same"],
+     "'same' needs --blaschke-f to copy from"),
+    (["decay", "--field", "localization"], "field 'localization' needs --symbol"),
+    (["decay", "--field", "factored-laplacian"],
+     "factored-laplacian needs at least one --factor"),
+    (["decay", "--field", "factored-laplacian", "--factor", "1,1:1"],
+     "factor '1,1:1' is not harmonic"),
+    (["decay", "--field", "factored-laplacian", "--factor", "1,0"],
+     "cannot parse symbol term '1,0'"),
+    (["berezin", "--symbol", "1,1:1", "--z", "0.5", "--out", "OUT"],
+     "cannot write OUT: No such file or directory"),
+    (["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
+     "coefficient of term 1,1 is not finite"),
+]
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("argv,message", ERROR_LINES)
+    def test_input_error_line(self, argv, message, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert run([out if arg == "OUT" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.replace('OUT', out)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e400"],
+        ["toeplitz", "--symbol", "1,1:1e400", "--trunc", "8"],
+        ["commutator", "--f", "1,1:1e400", "--g", "1,0:1"]])
+    def test_non_finite_coefficient_refused_without_warnings(self, argv, capsys):
+        # refused at parse time: no nan rows, no Infinity in JSON, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: coefficient of term 1,1 is not finite\n")
 
 
 class TestUsageErrors:

@@ -347,6 +347,20 @@ class TestParsing:
         with pytest.raises(ValueError):
             MonomialSymbol.from_string("-1,0:1")
 
+    @pytest.mark.parametrize("c", [float("inf"), complex(0.5, float("nan")),
+                                   complex(float("-inf"), 1.0)])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="coefficient of term 2,1 is not finite"):
+            MonomialSymbol({(2, 1): c})
+        with pytest.raises(ValueError, match="not finite"):
+            MonomialSymbol.monomial(2, 1).scale(c)
+
+    def test_overflowing_literal_rejected(self):
+        # 1e400 parses to inf; the sum of two 1e308 terms overflows to inf
+        for text in ("1,1:1e400", "0,0:1;1,1:1e308;1,1:1e308"):
+            with pytest.raises(ValueError, match="coefficient of term 1,1 is not finite"):
+                MonomialSymbol.from_string(text)
+
 
 class TestBlaschke:
     def test_single_zero_at_origin(self):

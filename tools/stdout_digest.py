@@ -1,24 +1,29 @@
-"""Digest of the CLI's stdout on a fixed command list, for byte-identity checks.
+"""Digest of the CLI's stdout and stderr on a fixed command list, for byte-identity checks.
 
     python3 tools/stdout_digest.py TREE > digests.txt
 
 TREE is a checkout of this repository; its ``src/berezinlab`` runs, in
 process through perfbench's ``run_cli``, each command of the list, and
-the tool prints one line ``sha256 exit-code argv`` per command; stderr
-passes through.  Two trees whose lines agree printed the same bytes on
-stdout for every command.  The list holds the README's ``berezinlab``
-examples, the commands of perfbench's cli-session for seeds 1-3, the
-three symbol ``decay`` fields at ``--kmax 39`` for three symbols, and a
-few commands that reach the commutator defect, the series route (near
-the rim too) and the quadrature Toeplitz builder with other inputs,
-one of them on a grid of one full node slice and a ragged tail.  It
-reads ``perfbench/`` and writes nothing.
+the tool prints one line ``sha256 exit-code argv`` per command.  The
+digest covers stdout and the stderr captured around the call, so two
+trees whose lines agree printed the same bytes on both streams for
+every command.  The list holds the README's ``berezinlab`` examples,
+the commands of perfbench's cli-session for seeds 1-3, the three symbol
+``decay`` fields at ``--kmax 39`` for three symbols, a few commands that
+reach the commutator defect, the series route (near the rim too) and
+the quadrature Toeplitz builder with other inputs, one of them on a
+grid of one full node slice and a ragged tail, and input errors of
+every command, each of which writes one ``error:`` line and exits 2.
+No command writes a path of TREE, so digests compare across checkouts.
+It reads ``perfbench/`` and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import re
 import shlex
@@ -38,6 +43,28 @@ EXTRA = [
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "16"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
      "--nr", "81", "--ntheta", "100"],
+    # input errors
+    ["berezin", "--symbol", "1,1", "--z", "0"],
+    ["toeplitz", "--symbol", "1,1:x", "--trunc", "8"],
+    ["berezin", "--symbol", "1,1:1", "--z", "0.3+x"],
+    ["uz", "--z", "abc", "--trunc", "4"],
+    ["berezin", "--symbol", "1,1:1", "--z", ","],
+    ["berezin", "--symbol", "1,1:1", "--z", "0.5,2.0"],
+    ["uz", "--z", "1.0", "--trunc", "4"],
+    ["commutator", "--blaschke-f", "0.5,x", "--g", "1,0:1"],
+    ["commutator", "--blaschke-f", ",", "--g", "1,0:1"],
+    ["commutator", "--blaschke-f", "1.5", "--g", "1,0:1"],
+    ["commutator", "--f", "0,1:1", "--g", "1,0:1"],
+    ["commutator", "--g", "1,0:1"],
+    ["commutator", "--f", "1,0:1", "--blaschke-g", "same"],
+    ["decay", "--field", "localization"],
+    ["decay", "--field", "factored-laplacian"],
+    ["decay", "--field", "factored-laplacian", "--factor", "1,1:1"],
+    ["decay", "--field", "factored-laplacian", "--factor", "1,0"],
+    ["berezin", "--symbol", "1,1:1", "--z", "0.5", "--out", "/dev/null/x.json"],
+    ["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
+    ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e400"],
+    ["toeplitz", "--symbol", "1,1:1e400", "--trunc", "8"],
 ]
 
 
@@ -73,8 +100,11 @@ def main(argv=None) -> int:
     from workloads import run_cli
 
     for command in command_list(tree):
-        run = run_cli(command)
-        digest = hashlib.sha256(run.text.encode("utf-8")).hexdigest()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            run = run_cli(command)
+        streams = run.text + "\0" + err.getvalue()
+        digest = hashlib.sha256(streams.encode("utf-8")).hexdigest()
         print(digest, run.code, shlex.join(command))
     return 0
 
