@@ -10,7 +10,8 @@ deterministic given the arguments.
 Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``,
 ``--nr`` or ``--ntheta`` included; ``main`` alone maps a ``CLIError`` or
 ``ValueError`` to it), 3 reliability flag raised under ``--strict``,
-4 invariant failure in suites, 5 numerical failure.
+4 invariant failure in suites, 5 numerical failure (an inf or nan in the
+report included, found before anything is written).
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import berezin as bz
 from .operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
@@ -47,18 +51,30 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _roundtrip(value):
-    """Clamp floats to 12 significant digits recursively for JSON output."""
+def _finite(x: float, field: str) -> float:
+    """x itself, or ArithmeticError naming ``field`` when x is inf or nan."""
+    if not math.isfinite(x):
+        raise ArithmeticError(f"{field} is not finite ({x})")
+    return x
+
+
+def _roundtrip(value, field: str = "report"):
+    """Clamp floats to 12 significant digits recursively for JSON output.
+
+    A non-finite float raises ArithmeticError, naming its place in the
+    report, before any text is made.
+    """
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return float(_fmt(value))
+        return float(_fmt(_finite(value, field)))
     if isinstance(value, complex):
-        return [_roundtrip(value.real), _roundtrip(value.imag)]
+        return [_roundtrip(value.real, f"{field}.real"),
+                _roundtrip(value.imag, f"{field}.imag")]
     if isinstance(value, dict):
-        return {k: _roundtrip(v) for k, v in value.items()}
+        return {k: _roundtrip(v, f"{field}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_roundtrip(v) for v in value]
+        return [_roundtrip(v, f"{field}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -86,8 +102,10 @@ def _emit(payload: dict, rows, header, args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        for i, row in enumerate(rows, 1):
+            writer.writerow([_fmt(_finite(v, f"{name} of row {i}"))
+                             if isinstance(v, float) else v
+                             for name, v in zip(header, row)])
         _write_output([buf.getvalue()], args.out)
 
 
@@ -108,8 +126,10 @@ def _check_matrix_budget(args) -> None:
 
     They are the N x N matrix (2N x 2N for commutator) and, where a rule
     is built, leggauss's nr x nr companion, the nodes and, for toeplitz
-    --quadrature, nr x (2N - 1) radial powers.  identity-suite takes no
-    sizes: its largest array, at its pinned sizes, is 13.4 MB.
+    --quadrature, nr x (2N - 1) radial powers; its nr x min(2N - 1,
+    ntheta) Fourier table is never larger than the nodes.  identity-suite
+    takes no sizes: its largest array, at its pinned sizes, is the
+    1.6 MB node table of the 160 x 640 rule.
     Negative sizes are left to fail later with their own errors.
     """
     n = getattr(args, "trunc", 0) * (2 if args.command == "commutator" else 1)
@@ -132,8 +152,13 @@ def _write_matrix(op, inputs: dict, args) -> int:
     """Matrix dumps: the entries, basis and dim plus inputs and configuration.
 
     The text is that of json.dumps as in ``_emit``, but the entries are
-    formatted and written row by row, never as one nested list.
+    formatted and written row by row, never as one nested list.  Every
+    float is checked to be finite before the first byte is written.
     """
+    bad = np.argwhere(~np.isfinite(op.matrix))
+    if len(bad):
+        q, p = bad[0]
+        raise ArithmeticError(f"entries[{q}][{p}] is not finite ({op.matrix[q, p]})")
     payload = {"basis": "orthonormal-monomial", "dim": op.dim, "entries": [],
                "inputs": inputs, "config": _dump_config(args)}
     text = json.dumps(_roundtrip(payload), indent=2, sort_keys=True)

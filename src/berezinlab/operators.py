@@ -23,7 +23,7 @@ import numpy as np
 
 from .diskgeom import disk_value
 from .quadrature import DiskQuadrature, check_rule_for_degree
-from .symbols import BlaschkeProduct, MonomialSymbol
+from .symbols import BLOCK_NODES, BlaschkeProduct, MonomialSymbol
 
 
 class TruncatedOperator:
@@ -132,19 +132,30 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
 
     Entries <f e_p, e_q> are angular Fourier coefficients times radial
     moments, so the tensor rule reduces to one FFT per radius followed
-    by radial dot products per diagonal.  ``degree_hint`` is the caller's
-    bound on the symbol's monomial degree, used (with 2*(dim-1) for the
-    basis) to check the rule against the moment oracle.
+    by radial dot products per diagonal.  ``f`` is evaluated and
+    transformed a block of rings (about BLOCK_NODES nodes) at a time,
+    and only the Fourier modes the diagonals read are kept: offset
+    -(dim-1) .. dim-1 reads mode offset mod n_angular, stored in column
+    offset mod width, width = min(2*dim - 1, n_angular).  ``degree_hint``
+    is the caller's bound on the symbol's monomial degree, used (with
+    2*(dim-1) for the basis) to check the rule against the moment oracle.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     check_rule_for_degree(rule, 2 * (dim - 1) + degree_hint)
 
+    # hat_f[i, l % width] ~ (1/2pi) int f(r_i e^{i th}) e^{-i l th} dth
     grid = rule.node_grid()
-    values = np.asarray(f(grid.ravel()), dtype=complex).reshape(grid.shape)
-
-    # hat_f[i, l] ~ (1/2pi) int f(r_i e^{i th}) e^{-i l th} dth
-    hat_f = np.fft.fft(values, axis=1) / rule.n_angular
+    width = min(2 * dim - 1, rule.n_angular)
+    modes = np.arange(width)
+    modes[dim:] -= width  # negative offsets, read from the end of each FFT row
+    hat_f = np.empty((rule.n_radial, width), dtype=complex)
+    rings = max(1, BLOCK_NODES // rule.n_angular)
+    for start in range(0, rule.n_radial, rings):
+        block = grid[start:start + rings]
+        values = np.asarray(f(block.ravel()), dtype=complex).reshape(block.shape)
+        hat_f[start:start + rings] = np.fft.fft(values, axis=1)[:, modes]
+    hat_f /= rule.n_angular
     # weighted radial powers, formed in place: one nr x (2 dim - 1) table
     weighted = rule.radial_r[:, None] ** np.arange(0, 2 * dim - 1)[None, :]
     weighted *= rule.radial_w[:, None]
@@ -152,7 +163,7 @@ def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
     m = np.zeros((dim, dim), dtype=complex)
     scale = np.sqrt(np.arange(1, dim + 1, dtype=float))
     for offset in range(-(dim - 1), dim):
-        fourier = hat_f[:, offset % rule.n_angular]
+        fourier = hat_f[:, offset % width]
         p = np.arange(max(0, -offset), min(dim, dim - offset))
         q = p + offset
         m[q, p] = scale[p] * scale[q] * (fourier @ weighted[:, 2 * p + offset])

@@ -180,15 +180,22 @@ def battery_harmonic_classifier():
 # ---------------------------------------------------------------------------
 
 def measured_moment_table(rule, degree: int) -> np.ndarray:
-    """Rule moments for all a, b <= degree, by actual node evaluation."""
-    powers = np.empty((degree + 1, rule.nodes.size), dtype=complex)
-    powers[0] = 1.0
-    for a in range(1, degree + 1):
-        powers[a] = powers[a - 1] * rule.nodes
-    weighted = powers * rule.weights
-    # in place: a third array of this size would set the battery's peak memory
-    np.conjugate(powers, out=powers)
-    return weighted @ powers.T
+    """Rule moments for all a, b <= degree, by actual node evaluation.
+
+    The table is summed over slices of 1024 nodes, so the power tables
+    stay (degree + 1) x 1024 whatever the rule's size.
+    """
+    table = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for start in range(0, rule.nodes.size, 1024):
+        part = slice(start, start + 1024)
+        nodes = rule.nodes[part]
+        powers = np.empty((degree + 1, nodes.size), dtype=complex)
+        powers[0] = 1.0
+        for a in range(1, degree + 1):
+            powers[a] = powers[a - 1] * nodes
+        weighted = powers * rule.weights[part]
+        table += weighted @ np.conjugate(powers, out=powers).T
+    return table
 
 
 @battery("moment-oracle",

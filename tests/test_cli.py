@@ -13,7 +13,8 @@ import pytest
 
 from berezinlab import cli
 from berezinlab.berezin import DEFAULT_CONFIG
-from berezinlab.operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
+from berezinlab.operators import (TruncatedOperator, toeplitz_exact, toeplitz_quadrature,
+                                  unitary_uz)
 from berezinlab.suites import BatteryResult
 from berezinlab.symbols import MonomialSymbol, parse_complex
 
@@ -571,6 +572,35 @@ class TestErrorLines:
             warnings.simplefilter("error")
             assert run(argv) == 2
         assert capsys.readouterr() == ("", "error: coefficient of term 1,1 is not finite\n")
+
+
+class TestNonFiniteOutput:
+    """Finite symbols whose transforms overflow: exit 5, one line, nothing written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["berezin", "--symbol", "2,4:-1e308;1,5:3", "--z", "0.3+0.4i",
+          "--route", "quadrature"],
+         "report.results[0].values.quadrature.real is not finite (nan)"),
+        (["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
+          "--kmax", "3", "--format", "csv"],
+         "value_re of row 3 is not finite (inf)"),
+        (["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
+          "--kmax", "3"],
+         "report.profiles[0].samples[2].value[0] is not finite (inf)"),
+    ])
+    def test_first_non_finite_field_named(self, argv, message, capsys):
+        # the overflow's RuntimeWarnings are another matter
+        with np.errstate(all="ignore"):
+            assert run(argv) == cli.EXIT_NUMERICAL == 5
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_non_finite_matrix_entry_writes_nothing(self, capsys):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = complex(0.0, np.nan)
+        args = cli.build_parser().parse_args(["uz", "--z", "0", "--trunc", "3"])
+        with pytest.raises(ArithmeticError, match=r"^entries\[1\]\[2\] is not finite"):
+            cli._write_matrix(TruncatedOperator._adopt(m, finite=True), {}, args)
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

@@ -167,7 +167,46 @@ class TestToeplitzExact:
                              - direct[:dim - band, :dim - band])) < 1e-14
 
 
+def toeplitz_quadrature_whole_grid(f, dim, rule):
+    """Reference: f on the whole node grid and one FFT of it, every mode kept."""
+    grid = rule.node_grid()
+    values = np.asarray(f(grid.ravel()), dtype=complex).reshape(grid.shape)
+    hat_f = np.fft.fft(values, axis=1) / rule.n_angular
+    weighted = rule.radial_r[:, None] ** np.arange(0, 2 * dim - 1)[None, :]
+    weighted *= rule.radial_w[:, None]
+    m = np.zeros((dim, dim), dtype=complex)
+    scale = np.sqrt(np.arange(1, dim + 1, dtype=float))
+    for offset in range(-(dim - 1), dim):
+        p = np.arange(max(0, -offset), min(dim, dim - offset))
+        m[p + offset, p] = scale[p] * scale[p + offset] * (
+            hat_f[:, offset % rule.n_angular] @ weighted[:, 2 * p + offset])
+    return m
+
+
+QUADRATURE_SYMBOL = MonomialSymbol({(1, 1): 1.0, (2, 0): 0.5j, (0, 3): -0.25, (4, 1): 2.0})
+
+
 class TestToeplitzQuadrature:
+    # 40 rings of 100 nodes fill a block: 50 rings leave a ragged block of
+    # 10, 30 rings fit in one short block, and dim 64 reads 127 diagonals
+    # from 100 modes, so negative and positive offsets share columns; a
+    # ring of 5000 nodes is a block of its own
+    @pytest.mark.filterwarnings("ignore::berezinlab.quadrature.QuadratureWarning")
+    @pytest.mark.parametrize("sizes, dim, evaluator", [
+        ((80, 256), 16, QUADRATURE_SYMBOL.evaluate_array),
+        ((50, 100), 12, QUADRATURE_SYMBOL.evaluate_array),
+        ((30, 100), 12, QUADRATURE_SYMBOL.evaluate_array),
+        ((50, 100), 64, QUADRATURE_SYMBOL.evaluate_array),
+        ((30, 100), 64, QUADRATURE_SYMBOL.compose_mobius_evaluator(0.5 - 0.2j)),
+        ((80, 256), 16, lambda w: np.conj(w) * w ** 2 + np.abs(w)),
+        ((160, 640), 16, MOD2.compose_mobius_evaluator(0.7)),
+        ((3, 5000), 8, QUADRATURE_SYMBOL.evaluate_array),
+    ])
+    def test_matches_whole_grid_fft_bitwise(self, sizes, dim, evaluator):
+        rule = build_rule(*sizes)
+        got = toeplitz_quadrature(evaluator, dim, rule)
+        assert np.array_equal(got.matrix, toeplitz_quadrature_whole_grid(evaluator, dim, rule))
+
     def test_identity_symbol(self, default_rule):
         got = toeplitz_quadrature(lambda w: np.ones_like(w), 8, default_rule)
         assert np.max(np.abs(got.matrix - np.eye(8))) < 1e-12

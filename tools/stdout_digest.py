@@ -12,9 +12,12 @@ the commands of perfbench's cli-session for seeds 1-3, the three symbol
 ``decay`` fields at ``--kmax 39`` for three symbols, a few commands that
 reach the commutator defect, the series route (near the rim too) and
 the quadrature Toeplitz builder with other inputs, one of them on a
-grid of one full node slice and a ragged tail, and input errors of
-every command, each of which writes one ``error:`` line and exits 2.
-No command writes a path of TREE, so digests compare across checkouts.
+grid of one full node slice and a ragged tail, input errors of every
+command, each of which writes one ``error:`` line and exits 2, and two
+finite symbols whose transforms overflow, which exit 5.
+No command writes a path of TREE, but a numpy RuntimeWarning names its
+source file, so stderr has TREE replaced by ``TREE`` before hashing and
+digests compare across checkouts.
 It reads ``perfbench/`` and writes nothing.
 """
 
@@ -65,6 +68,10 @@ EXTRA = [
     ["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
     ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e400"],
     ["toeplitz", "--symbol", "1,1:1e400", "--trunc", "8"],
+    # finite symbols whose transforms overflow: exit 5, nothing on stdout
+    ["berezin", "--symbol", "2,4:-1e308;1,5:3", "--z", "0.3+0.4i", "--route", "quadrature"],
+    ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
+     "--kmax", "3", "--format", "csv"],
 ]
 
 
@@ -103,7 +110,7 @@ def main(argv=None) -> int:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             run = run_cli(command)
-        streams = run.text + "\0" + err.getvalue()
+        streams = run.text + "\0" + err.getvalue().replace(tree, "TREE")
         digest = hashlib.sha256(streams.encode("utf-8")).hexdigest()
         print(digest, run.code, shlex.join(command))
     return 0
