@@ -8,17 +8,16 @@ at desk scale.
 
 from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
                       DecayProfile, PathSpec, ProductBerezin, ProfileSample,
-                      StencilOutOfDiskError, berezin_of_product,
-                      berezin_operator, berezin_symbol_exact,
-                      berezin_symbol_quadrature, berezin_symbol_series,
-                      commutator_compactness_indicator, covariance_field_check,
-                      decay_profile, dyadic_radii,
+                      berezin_of_product, berezin_operator,
+                      berezin_symbol_exact, berezin_symbol_quadrature,
+                      berezin_symbol_series, commutator_compactness_indicator,
+                      covariance_field_check, decay_profile, dyadic_radii,
                       factored_harmonic_invariant_laplacian,
                       fit_operator_from_berezin, harmonic_defect_integral,
-                      invariant_laplacian, laplacian_berezin_at_zero_operator,
-                      laplacian_berezin_at_zero_symbol, laplacian_fd,
-                      localization_norm, mean_value_transform,
-                      operator_tail_bound)
+                      invariant_laplacian, invariant_laplacian_operator,
+                      invariant_laplacian_symbol,
+                      laplacian_berezin_at_zero_symbol, localization_norm,
+                      mean_value_transform, operator_tail_bound)
 from .diskgeom import DiskDomainError, DiskPoint, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         covariant_toeplitz, semicommutator_defect,

@@ -19,8 +19,11 @@ Five routes to the same number:
 * mean-value route: u~(z) = integral of u o phi_z dA, summed over
   fixed slices of the rule's nodes.
 
+Invariant Laplacians are exact: the exact route on a symbol's, or the
+product rule on a truncated operator's polynomial transform.
+
 The numerical policy the reports share is fixed here, in the constants
-FD_STEP, RELIABILITY_TOL, SERIES_TOL and DECAY_THRESHOLD.
+RELIABILITY_TOL, SERIES_TOL and DECAY_THRESHOLD.
 
 Boundary behavior ("z -> boundary") is operationalized as sampling
 along in-disk radial or nontangential paths; nothing here claims to
@@ -35,7 +38,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .diskgeom import DISK_RADIUS_MAX, DiskDomainError, disk_value, mobius_eval
+from .diskgeom import disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
 from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
@@ -45,16 +48,10 @@ from .symbols import BLOCK_NODES, BlaschkeProduct, MonomialSymbol
 SERIES_MAX_TERMS = 2_000_000
 # Bound on the geometric tail at which the series route stops summing.
 SERIES_TOL = 1e-12
-# Relative step h0 of the five-point Laplacian, h = h0 * (1 - |z|).
-FD_STEP = 1e-3
 # Error bound at or beyond which a sample carries a reliability flag.
 RELIABILITY_TOL = 1e-6
 # Final-sample magnitude below which both commutator profiles count as decayed.
 DECAY_THRESHOLD = 1e-3
-
-
-class StencilOutOfDiskError(DiskDomainError):
-    """A finite-difference stencil point left the allowed disk."""
 
 
 @dataclass(frozen=True)
@@ -344,28 +341,25 @@ def berezin_of_product(symbols, z, dim: int) -> ProductBerezin:
 # Laplacians
 # ---------------------------------------------------------------------------
 
-def laplacian_fd(fieldfn, z) -> complex:
-    """Five-point Laplacian with step h = FD_STEP * (1 - |z|)."""
-    zv = disk_value(z)
-    h = FD_STEP * (1.0 - abs(zv))
-    pts = (zv + h, zv - h, zv + 1j * h, zv - 1j * h)
-    for p in pts:
-        if abs(p) > DISK_RADIUS_MAX:
-            raise StencilOutOfDiskError(
-                f"stencil point {p!r} leaves the disk (|z|={abs(zv):.6f}, h={h:.2e})")
-    vals = [complex(fieldfn(p)) for p in pts]
-    return (sum(vals) - 4.0 * complex(fieldfn(zv))) / h ** 2
+def invariant_laplacian_operator(op: TruncatedOperator, z) -> complex:
+    """(1 - |z|^2)^2 (Delta S~)(z) for a truncated S, exact on the retained modes.
 
-
-def laplacian_berezin_at_zero_operator(op: TruncatedOperator) -> complex:
-    """(Delta S~)(0) from the two lowest diagonal matrix entries.
-
-    In the orthonormal basis the quadratic coefficient of S~ at the
-    origin gives (Delta S~)(0) = 8 <S e_1, e_1> - 8 <S e_0, e_0>.
+    S~(z) = P G with P = (1-t)^2, t = |z|^2, G = a^T W b, a_p = z^p,
+    b = conj(a) and W_pq = M_pq sqrt((p+1)(q+1)); Delta = 4 d dbar acts by
+    the product rule on P and on G's forms in a, a', b and b'.  At z = 0
+    this is 8 (M_11 - M_00).
     """
-    if op.dim < 2:
-        raise ValueError("need dim >= 2 to read off the Laplacian at 0")
-    return 8.0 * complex(op.matrix[1, 1] - op.matrix[0, 0])
+    zv = disk_value(z)
+    s = 1.0 - abs(zv) ** 2
+    n = np.arange(op.dim)
+    weighted = op.matrix * np.sqrt(np.multiply.outer(n + 1.0, n + 1.0))
+    a = zv ** n
+    da = np.concatenate(([0j], n[1:] * a[:-1]))
+    wb, wdb = (weighted @ np.stack([a.conjugate(), da.conjugate()], axis=1)).T
+    g, dz_g, dzbar_g, mixed = a @ wb, da @ wb, a @ wdb, da @ wdb
+    dd = ((2.0 - 4.0 * s) * g - 2.0 * s * (zv.conjugate() * dzbar_g + zv * dz_g)
+          + s * s * mixed)
+    return complex(4.0 * s * s * dd)
 
 
 def laplacian_berezin_at_zero_symbol(u: MonomialSymbol) -> complex:
@@ -376,10 +370,14 @@ def laplacian_berezin_at_zero_symbol(u: MonomialSymbol) -> complex:
     return 8.0 * total
 
 
-def invariant_laplacian(fieldfn, z) -> complex:
-    """The Mobius-invariant quantity (1 - |z|^2)^2 (Delta f)(z)."""
-    zv = disk_value(z)
-    return (1.0 - abs(zv) ** 2) ** 2 * laplacian_fd(fieldfn, zv)
+def invariant_laplacian_symbol(u: MonomialSymbol) -> MonomialSymbol:
+    """(1 - |w|^2)^2 (Delta u)(w), whose transform is (1 - |z|^2)^2 (Delta u~)(z)."""
+    return MonomialSymbol({(0, 0): 1.0, (1, 1): -2.0, (2, 2): 1.0}) * u.laplacian()
+
+
+def invariant_laplacian(u: MonomialSymbol, z) -> complex:
+    """The Mobius-invariant quantity (1 - |z|^2)^2 (Delta u~)(z), by the exact route."""
+    return berezin_symbol_exact(invariant_laplacian_symbol(u), z)
 
 
 def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
@@ -636,9 +634,10 @@ def covariance_field_check(op: TruncatedOperator, z, w) -> CovarianceCheck:
     """Residuals of S~ o phi_z = (U_z S U_z)~ and its Laplacian form.
 
     The first residual compares the transform of S at phi_z(w) with the
-    transform of the conjugated operator at w; the second compares the
-    invariant Laplacian on both sides of the change of variables,
-    using finite differences.
+    transform of the conjugated operator at w; the second does the same
+    for their invariant Laplacians, each taken exactly by
+    invariant_laplacian_operator.  The image point's truncation flag
+    covers both.
     """
     zv, wv = disk_value(z), disk_value(w)
     uz = unitary_uz(zv, op.dim)
@@ -647,15 +646,10 @@ def covariance_field_check(op: TruncatedOperator, z, w) -> CovarianceCheck:
 
     value_residual = abs(berezin_operator(op, image)
                          - berezin_operator(conjugated, wv))
-
-    left = invariant_laplacian(lambda p: berezin_operator(op, mobius_eval(zv, p)), wv)
-    right = invariant_laplacian(lambda p: berezin_operator(op, p), image)
-    laplacian_residual = abs(left - right)
-
-    # the widest stencil point around the image decides the flag
-    worst = abs(image) + FD_STEP * (1.0 - abs(image))
-    flag = operator_flag(op.dim, min(worst, DISK_RADIUS_MAX) + 0j)
-    return CovarianceCheck(value_residual, laplacian_residual, flag)
+    laplacian_residual = abs(invariant_laplacian_operator(conjugated, wv)
+                             - invariant_laplacian_operator(op, image))
+    return CovarianceCheck(value_residual, laplacian_residual,
+                           operator_flag(op.dim, image))
 
 
 # ---------------------------------------------------------------------------

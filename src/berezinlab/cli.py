@@ -111,7 +111,7 @@ def _emit(payload: dict, rows, header, args) -> None:
 
 # The fixed numerical policy, embedded in every report but the matrix dumps;
 # the reports with a series route add SERIES_POLICY.
-POLICY = {"fd_step": bz.FD_STEP, "reliability_tol": bz.RELIABILITY_TOL}
+POLICY = {"reliability_tol": bz.RELIABILITY_TOL}
 SERIES_POLICY = {"series_tol": bz.SERIES_TOL}
 
 
@@ -346,8 +346,8 @@ def cmd_decay(args) -> int:
         if args.field == "berezin-minus-symbol":
             fieldfn = lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z)
         elif args.field == "invariant-laplacian":
-            fieldfn = lambda z: bz.invariant_laplacian(
-                lambda p: bz.berezin_symbol_exact(u, p), z)
+            lap = bz.invariant_laplacian_symbol(u)
+            fieldfn = lambda z: bz.berezin_symbol_exact(lap, z)
         else:
             fieldfn = lambda z: bz.localization_norm(u, z)
 

@@ -429,21 +429,22 @@ def battery_product_factorization():
 
 
 @battery("laplacian-consistency",
-         "operator, moment and finite-difference Laplacians agree at 0", 1e-5)
+         "operator, moment and invariance-identity Laplacians agree at 0", 1e-5)
 def battery_laplacian_consistency():
     rng = np.random.default_rng(114)
     dim = bz.DEFAULT_CONFIG.truncation
     closed = 0.0
-    fd = 0.0
+    identity = 0.0
     for _ in range(8):
         u = random_symbol(rng, max_degree=6, scale=0.5)
-        op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, dim))
+        op_route = bz.invariant_laplacian_operator(toeplitz_exact(u, dim), 0j)
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
-        fd_route = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(u, z), 0j)
+        identity_route = bz.invariant_laplacian(u, 0j)
         closed = max(closed, abs(op_route - sym_route))
-        fd = max(fd, abs(sym_route - fd_route))
-    return (max(closed, fd), {"closed_forms": closed, "finite_difference": fd},
-            closed <= 1e-10 and fd <= 1e-5)
+        identity = max(identity, abs(sym_route - identity_route))
+    return (max(closed, identity),
+            {"closed_forms": closed, "invariance_identity": identity},
+            closed <= 1e-10 and identity <= 1e-5)
 
 
 @battery("berezin-injectivity",
@@ -469,10 +470,9 @@ def battery_invariant_laplacian_integral():
     worst = 0.0
     for _ in range(5):
         u = random_symbol(rng, max_degree=4, scale=0.5)
-        field = lambda z: bz.berezin_symbol_series(u, z)
         for z in sample_points(rng, 4, 0.7):
             lhs = bz.harmonic_defect_integral(u, z, rule)
-            rhs = bz.invariant_laplacian(field, z)
+            rhs = bz.invariant_laplacian(u, z)
             worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -31,6 +31,7 @@ from berezinlab.suites import (BATTERIES, composed_block, plain_compression_resi
                                random_symbol, sample_points, semicommutator_residual)
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product)
+from conftest import laplacian_fd
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -91,12 +92,12 @@ def test_criterion_03_laplacian_at_zero_operator_vs_stencil():
         m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         m /= np.linalg.norm(m)
         op = TruncatedOperator(m)
-        fd = bz.laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
-        closed = bz.laplacian_berezin_at_zero_operator(op)
+        fd = laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
+        closed = bz.invariant_laplacian_operator(op, 0j)
         worst = max(worst, abs(fd - closed))
     op = toeplitz_exact(MOD2, 64)
-    fd = bz.laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
-    closed = bz.laplacian_berezin_at_zero_operator(op)
+    fd = laplacian_fd(lambda z: bz.berezin_operator(op, z), 0j)
+    closed = bz.invariant_laplacian_operator(op, 0j)
     special = max(abs(fd - 4.0 / 3.0), abs(closed - 4.0 / 3.0))
     report(3, worst <= 1e-5 and special <= 1e-6,
            f"random worst = {worst:.3e}, |w|^2 case = {special:.3e}")
@@ -109,7 +110,7 @@ def test_criterion_04_laplacian_at_zero_symbol_vs_operator():
     for _ in range(20):
         u = random_symbol(rng, 6)
         sym_route = bz.laplacian_berezin_at_zero_symbol(u)
-        op_route = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(u, 8))
+        op_route = bz.invariant_laplacian_operator(toeplitz_exact(u, 8), 0j)
         worst = max(worst, abs(sym_route - op_route))
     report(4, worst <= 1e-10, f"max |symbol - operator| = {worst:.3e}")
 

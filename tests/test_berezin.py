@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezinlab import berezin as bz
 from berezinlab import suites
-from berezinlab.diskgeom import DISK_RADIUS_MAX, mobius_eval
+from berezinlab.diskgeom import mobius_eval
 from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
+from conftest import laplacian_fd
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -310,29 +313,28 @@ class TestProducts:
 
 class TestLaplacians:
     def test_fd_on_square_modulus(self):
-        assert bz.laplacian_fd(lambda z: abs(z) ** 2, 0.2 + 0.1j) == \
+        assert laplacian_fd(lambda z: abs(z) ** 2, 0.2 + 0.1j) == \
             pytest.approx(4.0, abs=1e-6)
 
     def test_fd_on_harmonic(self):
-        assert bz.laplacian_fd(lambda z: z.real, 0.3j) == \
+        assert laplacian_fd(lambda z: z.real, 0.3j) == \
             pytest.approx(0.0, abs=1e-6)
 
-    def test_fd_stencil_guard(self):
-        # the relative step keeps the stencil inside |z| < 1, but at the
-        # largest admitted radius its outer point passes DISK_RADIUS_MAX
-        with pytest.raises(bz.StencilOutOfDiskError):
-            bz.laplacian_fd(lambda z: 0.0, DISK_RADIUS_MAX)
-
     def test_operator_form_identity(self):
-        assert bz.laplacian_berezin_at_zero_operator(TruncatedOperator(np.eye(8))) == 0.0
+        assert bz.invariant_laplacian_operator(TruncatedOperator(np.eye(8)), 0.0) == 0.0
 
     def test_operator_form_modulus(self):
-        got = bz.laplacian_berezin_at_zero_operator(toeplitz_exact(MOD2, 8))
+        got = bz.invariant_laplacian_operator(toeplitz_exact(MOD2, 8), 0.0)
         assert got == pytest.approx(4.0 / 3.0, abs=1e-14)
 
-    def test_operator_form_needs_two_modes(self):
-        with pytest.raises(ValueError):
-            bz.laplacian_berezin_at_zero_operator(TruncatedOperator(np.eye(1)))
+    def test_operator_form_meets_stencil_off_center(self):
+        rng = np.random.default_rng(26)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        op = TruncatedOperator(m / np.linalg.norm(m))
+        for z in (0.4 + 0.2j, -0.3j, 0.55):
+            fd = laplacian_fd(lambda p: bz.berezin_operator(op, p), z)
+            got = bz.invariant_laplacian_operator(op, z)
+            assert got == pytest.approx((1.0 - abs(z) ** 2) ** 2 * fd, abs=1e-5)
 
     def test_symbol_form(self):
         assert bz.laplacian_berezin_at_zero_symbol(ONE) == 0.0
@@ -341,28 +343,51 @@ class TestLaplacians:
         assert bz.laplacian_berezin_at_zero_symbol(harmonic) == pytest.approx(0.0)
 
     def test_fd_meets_closed_forms(self):
-        got = bz.laplacian_fd(lambda z: bz.berezin_symbol_series(MOD2, z), 0.0)
+        got = laplacian_fd(lambda z: bz.berezin_symbol_series(MOD2, z), 0.0)
         assert got == pytest.approx(4.0 / 3.0, abs=1e-5)
+        assert bz.invariant_laplacian(MOD2, 0.0) == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_invariant_laplacian_harmonic_field(self):
-        assert bz.invariant_laplacian(lambda z: z.imag, 0.2) == \
-            pytest.approx(0.0, abs=1e-6)
+        harmonic = MonomialSymbol({(3, 0): 1.0, (0, 1): 1j, (0, 0): 2.0})
+        for z in (0.2, 0.5 - 0.5j, 1.0 - 2.0 ** -30):
+            assert bz.invariant_laplacian(harmonic, z) == 0.0
 
     def test_invariant_laplacian_compose_oracle(self):
         # (1-|z|^2)^2 (Delta f)(z) equals Delta(f o phi_z) at the origin
         field = lambda z: bz.berezin_symbol_series(MOD2, z)
         z = 0.45 - 0.15j
-        lhs = bz.invariant_laplacian(field, z)
+        lhs = bz.invariant_laplacian(MOD2, z)
         composed = lambda p: field(mobius_eval(z, p))
-        rhs = bz.laplacian_fd(composed, 0.0)
+        rhs = laplacian_fd(composed, 0.0)
         assert lhs == pytest.approx(rhs, abs=1e-5)
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_invariant_laplacian_against_mpmath(self, k):
+        # u = |w|^2 has u~ = t + (1-t)^2 (-log(1-t) - t) / t^2 with t = |z|^2,
+        # and for a function of t, Delta = 4 (t f'' + f')
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            t = (1 - mp.mpf(2) ** -k) ** 2
+            f = lambda s: s + (1 - s) ** 2 * (-mp.log(1 - s) - s) / s ** 2
+            want = (1 - t) ** 2 * 4 * (t * mp.diff(f, t, 2) + mp.diff(f, t))
+        got = bz.invariant_laplacian(MOD2, 1.0 - 2.0 ** -k)
+        assert got.imag == 0.0
+        assert abs(got.real - float(want)) <= 1e-11 * abs(float(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), r=st.floats(0.0, 0.5),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    def test_symbol_route_matches_operator_route(self, seed, r, angle):
+        u = suites.random_symbol(np.random.default_rng(seed), 6)
+        z = r * complex(math.cos(angle), math.sin(angle))
+        got = bz.invariant_laplacian_operator(toeplitz_exact(u, 64), z)
+        assert abs(got - bz.invariant_laplacian(u, z)) <= 1e-12
 
     def test_defect_integral_equals_invariant_laplacian(self, default_rule):
         u = MonomialSymbol({(1, 1): 0.5, (2, 0): 0.3j})
-        field = lambda z: bz.berezin_symbol_series(u, z)
         for z in (0.0, 0.4, 0.3 + 0.4j):
             lhs = bz.harmonic_defect_integral(u, z, default_rule)
-            rhs = bz.invariant_laplacian(field, z)
+            rhs = bz.invariant_laplacian(u, z)
             assert lhs == pytest.approx(rhs, abs=1e-5)
 
     def test_defect_integral_blocks_match_whole_array(self, default_rule):
@@ -507,6 +532,13 @@ class TestCovarianceField:
         assert check.value_residual < 1e-5
         assert check.laplacian_residual < 1e-5
         assert check.flag == ""
+
+    def test_battery_inputs_exact_laplacian(self):
+        # the covariance-field battery's two inputs: both Laplacians are exact
+        checks = (bz.covariance_field_check(toeplitz_exact(MOD2, 64), 0.3, 0.3),
+                  bz.covariance_field_check(TruncatedOperator(np.eye(64)), 0.4 + 0.1j, 0.2j))
+        for check in checks:
+            assert check.laplacian_residual <= 1e-12
 
     def test_flags_unreliable_images(self):
         op = toeplitz_exact(MOD2, 16)

@@ -471,7 +471,7 @@ SHARED_VALUES = {"--out": "-", "--format": "json", "--trunc": "16", "--nr": "20"
                  "--ntheta": "64", "--tol": "1e-10", "--strict": None}
 CONFIG_NAMES = {"--format": "format", "--trunc": "truncation", "--nr": "n_radial",
                 "--ntheta": "n_angular", "--strict": "strict"}
-POLICY_KEYS = {"fd_step", "reliability_tol"}
+POLICY_KEYS = {"reliability_tol"}
 COMMANDS = {
     "berezin": (["--symbol", "1,1:1", "--z", "0.3"],
                 "--out --format --trunc --nr --ntheta --strict",

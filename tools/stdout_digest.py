@@ -9,15 +9,17 @@ digest covers stdout and the stderr captured around the call, so two
 trees whose lines agree printed the same bytes on both streams for
 every command.  The list holds the README's ``berezinlab`` examples,
 the commands of perfbench's cli-session for seeds 1-3, the three symbol
-``decay`` fields at ``--kmax 39`` for three symbols, a few commands that
+``decay`` fields at ``--kmax 39`` for three symbols, the invariant
+Laplacian on a nontangential path to the rim, a few commands that
 reach the commutator defect, the series route (near the rim too) and
 the quadrature Toeplitz builder with other inputs, one of them on a
 grid of one full node slice and a ragged tail, input errors of every
 command, each of which writes one ``error:`` line and exits 2, and two
 finite symbols whose transforms overflow, which exit 5.
 No command writes a path of TREE, but a numpy RuntimeWarning names its
-source file, so stderr has TREE replaced by ``TREE`` before hashing and
-digests compare across checkouts.
+source file and line, so stderr has TREE replaced by ``TREE`` and each
+``.py:LINE:`` by ``.py:N:`` before hashing: digests compare across
+checkouts, and across edits that only move the warning's line.
 It reads ``perfbench/`` and writes nothing.
 """
 
@@ -43,6 +45,8 @@ EXTRA = [
      "--trunc", "32", "--format", "csv"],
     ["berezin", "--symbol", "40,10:1;1,1:1", "--z", "0.9,0.95i", "--route", "series"],
     ["berezin", "--symbol", "3,1:1;0,2:0.5i", "--z", "0.999,0.9995i", "--route", "series"],
+    ["decay", "--field", "invariant-laplacian", "--symbol", "1,1:1", "--aperture", "0.7",
+     "--kmax", "39"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "16"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
      "--nr", "81", "--ntheta", "100"],
@@ -110,7 +114,8 @@ def main(argv=None) -> int:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             run = run_cli(command)
-        streams = run.text + "\0" + err.getvalue().replace(tree, "TREE")
+        stderr = re.sub(r"\.py:\d+:", ".py:N:", err.getvalue().replace(tree, "TREE"))
+        streams = run.text + "\0" + stderr
         digest = hashlib.sha256(streams.encode("utf-8")).hexdigest()
         print(digest, run.code, shlex.join(command))
     return 0
