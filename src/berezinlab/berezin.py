@@ -38,12 +38,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .diskgeom import disk_value, mobius_eval
+from .diskgeom import disk_gap, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
 from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
                          build_rule, monomial_moment)
-from .symbols import BLOCK_NODES, BlaschkeProduct, MonomialSymbol
+from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
 # Bound on the geometric tail at which the series route stops summing.
@@ -86,7 +86,7 @@ def kernel_coefficients(z, dim: int) -> np.ndarray:
     """Orthonormal-basis coefficients of the normalized kernel k_z."""
     zv = disk_value(z)
     n = np.arange(dim)
-    return (1.0 - abs(zv) ** 2) * np.sqrt(n + 1.0) * zv.conjugate() ** n
+    return disk_gap(zv) * np.sqrt(n + 1.0) * zv.conjugate() ** n
 
 
 def berezin_operator(op: TruncatedOperator, z) -> complex:
@@ -98,7 +98,7 @@ def berezin_operator(op: TruncatedOperator, z) -> complex:
 def operator_tail_bound(dim: int, z) -> float:
     """Geometric bound on the modes dropped by the dim-truncation."""
     r2 = abs(disk_value(z)) ** 2
-    return (dim + 1) * r2 ** dim / (1.0 - r2) ** 2
+    return (dim + 1) * r2 ** dim / disk_gap(z) ** 2
 
 
 def operator_flag(dim: int, z) -> str:
@@ -121,7 +121,7 @@ def berezin_symbol_series(u: MonomialSymbol, z) -> complex:
     Each sum then gets its term's (1-t)^2 z^d, conjugated when j < k.
     """
     zv = disk_value(z)
-    t = abs(zv) ** 2
+    t, gap = abs(zv) ** 2, disk_gap(zv)
     coeffs = u.coeffs
     if not coeffs:
         return 0j
@@ -142,7 +142,7 @@ def berezin_symbol_series(u: MonomialSymbol, z) -> complex:
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
     total = 0j
     for ((j, k), c), sums in zip(coeffs.items(), acc.tolist()):
-        value = (1.0 - t) ** 2 * zv ** abs(j - k) * sums
+        value = gap ** 2 * zv ** abs(j - k) * sums
         total += c * (value.conjugate() if j < k else value)
     return total
 
@@ -156,31 +156,31 @@ def berezin_symbol_exact(u: MonomialSymbol, z) -> complex:
     boundary where term-by-term summation becomes slow.
     """
     zv = disk_value(z)
-    t = abs(zv) ** 2
+    t, gap = abs(zv) ** 2, disk_gap(zv)
     total = 0j
     for (j, k), c in u.coeffs.items():
-        total += c * _monomial_exact(j, k, zv, t)
+        total += c * _monomial_exact(j, k, zv, t, gap)
     return total
 
 
-def _monomial_exact(j: int, k: int, zv: complex, t: float) -> complex:
+def _monomial_exact(j: int, k: int, zv: complex, t: float, gap: float) -> complex:
     if j < k:
-        return _monomial_exact(k, j, zv, t).conjugate()
-    base = 1.0 - k * (1.0 - t)
+        return _monomial_exact(k, j, zv, t, gap).conjugate()
+    base = 1.0 - k * gap
     if j > 0 and k > 0:
-        base += j * k * (1.0 - t) ** 2 * _phi_sum(j, t)
+        base += j * k * gap ** 2 * _phi_sum(j, t, gap)
     return zv ** (j - k) * base
 
 
-def _phi_sum(j: int, t: float) -> float:
+def _phi_sum(j: int, t: float, gap: float) -> float:
     """sum_{m>=0} t^m / (m+j+1), stable on both halves of [0, 1).
 
-    From t = 0.5 on it is (-log(1-t) less its first j terms) / t^(j+1),
-    unless subtracting those terms cancels over three digits; then, as
-    below 0.5, it is summed term by term.
+    From t = 0.5 on it is (-log(gap) less its first j terms) / t^(j+1),
+    gap = 1 - t, unless subtracting those terms cancels over three
+    digits; then, as below 0.5, it is summed term by term.
     """
     if t >= 0.5:
-        log_sum = -math.log1p(-t)
+        log_sum = -math.log(gap)
         head = sum(t ** i / i for i in range(1, j + 1))
         if log_sum - head >= 1e-3 * log_sum:
             return (log_sum - head) / t ** (j + 1)
@@ -206,11 +206,8 @@ def quadrature_tail_estimate(rule: DiskQuadrature, z, symbol_degree: int = 0) ->
     the retained ones.
     """
     r = abs(disk_value(z))
-    if r == 0.0:
-        return 0.0
     mode = max(rule.n_angular - symbol_degree, 1)
-    t = r * r
-    return (1.0 - t) ** 2 * (mode / 2.0 + 1.0) ** 2 * r ** mode / (1.0 - r)
+    return disk_gap(z) * (1.0 + r) * (mode / 2.0 + 1.0) ** 2 * r ** mode
 
 
 def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
@@ -225,21 +222,21 @@ def _kernel_density_grid(z, rule: DiskQuadrature) -> np.ndarray:
 
     With s = r|z| the denominator is formed as
     |1 - conj(z) r e^{i theta}|^2 = (1 - s)^2 + 4 s sin^2((theta - arg z)/2),
-    and 1 - s as (1 - r) + r (1 - |z|): no term cancels, where
-    1 + s^2 - 2 s cos(theta - arg z) loses digits next to the rim.
+    and 1 - s as (1 - r) + r (1 - |z|^2) / (1 + |z|): no term cancels,
+    where 1 + s^2 - 2 s cos(theta - arg z) loses digits next to the rim.
     """
     zv = disk_value(z)
-    rho = abs(zv)
+    rho, rim = abs(zv), disk_gap(zv)
     r = rule.radial_r
     s = r * rho
-    gap = (1.0 - r) + r * (1.0 - rho)
+    gap = (1.0 - r) + r * (rim / (1.0 + rho))
     # (theta - arg z) / 2 in units of pi, reduced to [-1/2, 1/2]
     turns = np.arange(rule.n_angular) / rule.n_angular - np.angle(zv) / (2.0 * np.pi)
     turns -= np.round(turns)
     grid = np.multiply.outer(4.0 * s, np.sin(np.pi * turns) ** 2)
     grid += (gap * gap)[:, None]
     grid *= grid
-    return np.divide(((1.0 - rho) * (1.0 + rho)) ** 2, grid, out=grid)
+    return np.divide(rim * rim, grid, out=grid)
 
 
 def _contract_by_frequency(u: MonomialSymbol, density: np.ndarray,
@@ -284,23 +281,13 @@ def berezin_symbol_quadrature(u, z, rule: DiskQuadrature) -> complex:
     return complex(np.dot(u.real, weighted), np.dot(u.imag, weighted))
 
 
-def _integrate_by_blocks(rule: DiskQuadrature, integrand) -> complex:
-    """rule.integrate(integrand), summed over slices of BLOCK_NODES nodes."""
-    total = 0j
-    for start in range(0, rule.nodes.size, BLOCK_NODES):
-        block = slice(start, start + BLOCK_NODES)
-        total += np.dot(rule.weights[block], integrand(rule.nodes[block]))
-    return complex(total)
-
-
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
     """u~(z) as the plain average of u over phi_z-translated coordinates.
 
     Substituting w = phi_z(v) in the kernel integral leaves
     integral (u o phi_z) dA, an independent route used as a cross-check.
-    It is summed over slices of BLOCK_NODES nodes.
     """
-    return _integrate_by_blocks(rule, u.compose_mobius_evaluator(z))
+    return rule.integrate(u.compose_mobius_evaluator(z))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +337,7 @@ def invariant_laplacian_operator(op: TruncatedOperator, z) -> complex:
     this is 8 (M_11 - M_00).
     """
     zv = disk_value(z)
-    s = 1.0 - abs(zv) ** 2
+    s = disk_gap(zv)
     n = np.arange(op.dim)
     weighted = op.matrix * np.sqrt(np.multiply.outer(n + 1.0, n + 1.0))
     a = zv ** n
@@ -392,7 +379,7 @@ def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> comp
     def integrand(w):
         return composed(w) * (2.0 * np.abs(w) ** 2 - 1.0)
 
-    return 8.0 * _integrate_by_blocks(rule, integrand)
+    return 8.0 * rule.integrate(integrand)
 
 
 def factored_harmonic_invariant_laplacian(factors, z) -> complex:
@@ -409,27 +396,27 @@ def factored_harmonic_invariant_laplacian(factors, z) -> complex:
             raise ValueError("all factors must be harmonic symbols")
     product = reduce(lambda a, b: a * b, factors)
     zv = disk_value(z)
-    return (1.0 - abs(zv) ** 2) ** 2 * product.laplacian().evaluate(zv)
+    return disk_gap(zv) ** 2 * product.laplacian().evaluate(zv)
 
 
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------
 
-def localization_norm(u: MonomialSymbol, z) -> float:
-    """|| (u - u(z)) k_z ||_2 via the expanded transform identity.
+def localization_norm(u: MonomialSymbol, z) -> tuple[float, str]:
+    """|| (u - u(z)) k_z ||_2 via the expanded transform identity, and its flag.
 
     The square expands to (|u|^2)~(z) - 2 Re(conj(u(z)) u~(z)) + |u(z)|^2,
-    with both transforms by the exact route.
+    with both transforms by the exact route.  A square at or below eps times
+    the terms' sizes gives sqrt(max(square, 0)), flagged "roundoff-floor".
     """
     zv = disk_value(z)
     u_at = u.evaluate(zv)
     mod2 = berezin_symbol_exact(u * u.conjugate(), zv)
-    u_tilde = berezin_symbol_exact(u, zv)
-    square = mod2.real - 2.0 * (u_at.conjugate() * u_tilde).real + abs(u_at) ** 2
-    if square < -1e-10:
-        raise ArithmeticError(f"localization square came out {square}, below roundoff floor")
-    return math.sqrt(max(square, 0.0))
+    cross = u_at.conjugate() * berezin_symbol_exact(u, zv)
+    square = mod2.real - 2.0 * cross.real + abs(u_at) ** 2
+    floor = np.finfo(float).eps * (abs(mod2) + 2.0 * abs(cross) + abs(u_at) ** 2)
+    return math.sqrt(max(square, 0.0)), ("roundoff-floor" if square <= floor else "")
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +484,20 @@ class DecayProfile:
 
 def decay_profile(fieldfn, path: PathSpec = PathSpec(), radii=None,
                   flag_fn=None, label: str = "") -> DecayProfile:
-    """Sample a field along the path at the given radii (dyadic default)."""
+    """Sample a field along the path at the given radii (dyadic default).
+
+    A field may return a (value, flag) pair; flag_fn flags the others.
+    """
     if radii is None:
         radii = dyadic_radii()
     samples = []
     for r in radii:
         z = complex(path.point(r))
         flag = flag_fn(z) if flag_fn is not None else ""
-        value = complex(fieldfn(z))
-        samples.append(ProfileSample(float(r), z, value, flag))
+        value = fieldfn(z)
+        if isinstance(value, tuple):
+            value, flag = value
+        samples.append(ProfileSample(float(r), z, complex(value), flag))
     return DecayProfile(label, path, tuple(samples))
 
 
@@ -569,7 +561,7 @@ def commutator_compactness_indicator(f, g, radii=None,
 
     def deriv_quantity(z):
         zv = disk_value(z)
-        return (1.0 - abs(zv) ** 2) ** 2 * abs(df(zv) * dg(zv))
+        return disk_gap(zv) ** 2 * abs(df(zv) * dg(zv))
 
     deriv_profile = decay_profile(deriv_quantity, path, radii,
                                   label="invariant-derivative-product")

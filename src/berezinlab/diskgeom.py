@@ -11,6 +11,7 @@ Conventions:
     phi_z'(w) = (|z|^2 - 1) / (1 - conj(z) w)^2
     K_z(w)    = 1 / (1 - conj(z) w)^2          reproducing kernel
     k_z(w)    = (1 - |z|^2) K_z(w)             normalized kernel, ||k_z|| = 1
+    1 - |z|^2 = disk_gap(z)                    rim gap, correctly rounded
 """
 
 from __future__ import annotations
@@ -59,6 +60,22 @@ def disk_value(z) -> complex:
     if isinstance(z, DiskPoint):
         return z.value
     return DiskPoint(z).value
+
+
+def disk_gap(z) -> float:
+    """1 - |z|^2 of the validated point, correctly rounded.
+
+    Each coordinate's square splits exactly into its rounded value and
+    error term (Veltkamp), and math.fsum adds the five parts exactly.
+    """
+    zv = disk_value(z)
+    parts = [1.0]
+    for a in (zv.real, zv.imag):
+        square, split = a * a, a * 134217729.0  # 2^27 + 1
+        high = split - (split - a)
+        low = a - high
+        parts += (-square, -(((high * high - square) + 2.0 * high * low) + low * low))
+    return math.fsum(parts)
 
 
 def mobius_eval(z, w) -> complex:

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .diskgeom import disk_value
-from .quadrature import DiskQuadrature, check_rule_for_degree
-from .symbols import BLOCK_NODES, BlaschkeProduct, MonomialSymbol
+from .diskgeom import disk_gap, disk_value
+from .quadrature import BLOCK_NODES, DiskQuadrature, check_rule_for_degree
+from .symbols import BlaschkeProduct, MonomialSymbol
 
 
 class TruncatedOperator:
@@ -211,7 +211,6 @@ def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
     """
     zv = disk_value(z)
     zc = zv.conjugate()
-    t = abs(zv) ** 2
 
     steps = []  # doubling factors (shift, conj(z)**shift)
     s, c = 1, zc
@@ -224,7 +223,7 @@ def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
 
     m = np.empty((cols, blocks, width), dtype=complex)
     flat = m.reshape(cols, blocks * width)
-    flat[0] = (t - 1.0) * np.arange(1, flat.shape[1] + 1) * zc ** np.arange(flat.shape[1])
+    flat[0] = -disk_gap(zv) * np.arange(1, flat.shape[1] + 1) * zc ** np.arange(flat.shape[1])
     if prefix:
         power = np.multiply.accumulate(np.r_[1.0, np.full(width - 1, zc)])
         inverse = 1.0 / power

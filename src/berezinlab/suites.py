@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import berezin as bz
-from .diskgeom import mobius_eval
+from .diskgeom import disk_gap, mobius_eval
 from .operators import (TruncatedOperator, semicommutator_defect,
                         toeplitz_exact, toeplitz_quadrature, unitary_uz)
 from .quadrature import build_rule, monomial_moment
@@ -105,8 +105,8 @@ def battery_mobius_modulus():
     rng = np.random.default_rng(102)
     worst = 0.0
     for z, w in zip(sample_points(rng, 200, 0.95), sample_points(rng, 200, 0.95)):
-        lhs = 1.0 - abs(mobius_eval(z, w)) ** 2
-        rhs = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2) / abs(1.0 - z.conjugate() * w) ** 2
+        lhs = disk_gap(mobius_eval(z, w))
+        rhs = disk_gap(z) * disk_gap(w) / abs(1.0 - z.conjugate() * w) ** 2
         worst = max(worst, abs(lhs - rhs))
     return worst
 

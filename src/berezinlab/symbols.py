@@ -16,17 +16,14 @@ from enum import Enum
 
 import numpy as np
 
-from .diskgeom import DiskPoint, disk_value
+from .diskgeom import DiskPoint, disk_gap, disk_value
+from .quadrature import BLOCK_NODES
 
 # Coefficients with modulus at or below this (relative to the symbol's
 # largest coefficient) are treated as zero by the harmonicity tests;
 # hand-built integer/Gaussian-integer corpora cancel exactly anyway.
 COEFF_REL_TOL = 1e-12
 FORMAT_DIGITS = 12  # significant digits format_complex writes
-# Nodes per slice of every node evaluation: each complex temporary of a
-# slice is 64 KB, below glibc's default 128 KB mmap threshold, so the
-# slices reuse heap memory instead of faulting in fresh pages.
-BLOCK_NODES = 4096
 
 _TERM_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*(\S+)\s*$")
 _COMPLEX_RE = re.compile(
@@ -403,7 +400,8 @@ class BlaschkeProduct:
             return np.zeros_like(w)
         factors = self._factors(w)
         a = np.asarray(self.zeros, dtype=complex)[:, None]
-        derivs = (np.abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * w[None, :]) ** 2
+        gaps = np.array([disk_gap(b) for b in self.zeros])[:, None]
+        derivs = -gaps / (1.0 - np.conj(a) * w[None, :]) ** 2
 
         n = len(self.zeros)
         prefix = np.ones((n + 1, w.size), dtype=complex)
@@ -428,7 +426,7 @@ class BlaschkeProduct:
             factor[0] = a
             if count > 1:
                 powers = np.conj(a) ** np.arange(count - 1)
-                factor[1:] = -(1.0 - abs(a) ** 2) * powers
+                factor[1:] = -disk_gap(a) * powers
             coeffs = np.convolve(coeffs, factor)[:count]
         return coeffs
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from berezinlab import berezin as bz
 from berezinlab import suites
-from berezinlab.diskgeom import mobius_eval
+from berezinlab.diskgeom import disk_gap, mobius_eval
 from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
 from berezinlab.quadrature import build_rule
@@ -102,7 +103,7 @@ def _per_monomial_series(u, z):
             acc += float(np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (j + m + 1.0)))
             m0 += 512
             if t ** m0 * (m0 * (1.0 - t) + 1.0) < bz.SERIES_TOL:
-                return (1.0 - t) ** 2 * zv ** d * acc
+                return disk_gap(zv) ** 2 * zv ** d * acc
 
     zv = complex(z)
     t = abs(zv) ** 2
@@ -284,7 +285,7 @@ class TestMeanValueRoute:
         for _ in range(5):
             u = suites.random_symbol(rng, max_degree=8)
             for z in (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j)):
-                whole = rule.integrate(u.compose_mobius_evaluator(z))
+                whole = np.dot(rule.weights, u.compose_mobius_evaluator(z)(rule.nodes))
                 got = bz.mean_value_transform(u, z, rule)
                 assert abs(got - whole) <= 1e-15 * max(1.0, abs(whole))
 
@@ -394,8 +395,9 @@ class TestLaplacians:
         u = MonomialSymbol({(1, 1): 0.5, (2, 0): 0.3j, (0, 3): -1.0})
         for z in (0.0, 0.4, 0.3 + 0.4j, -0.99j):
             composed = u.compose_mobius_evaluator(z)
-            whole = 8.0 * default_rule.integrate(
-                lambda w: composed(w) * (2.0 * np.abs(w) ** 2 - 1.0))
+            nodes = default_rule.nodes
+            whole = 8.0 * np.dot(default_rule.weights,
+                                 composed(nodes) * (2.0 * np.abs(nodes) ** 2 - 1.0))
             got = bz.harmonic_defect_integral(u, z, default_rule)
             # the integrand is up to 8 * 2.5 in size and cancels to 3e-3
             assert abs(got - whole) <= 1e-14
@@ -416,16 +418,16 @@ class TestLaplacians:
 class TestLocalization:
     def test_constant_vanishes(self):
         # the squared expansion cancels to roundoff; the norm is its sqrt
-        assert bz.localization_norm(MonomialSymbol.constant(2 + 1j), 0.3) == \
-            pytest.approx(0.0, abs=1e-7)
+        value, flag = bz.localization_norm(MonomialSymbol.constant(2 + 1j), 0.3)
+        assert value == pytest.approx(0.0, abs=1e-7) and flag == "roundoff-floor"
 
     def test_coordinate_at_center(self):
-        assert bz.localization_norm(W, 0.0) == pytest.approx(math.sqrt(0.5))
+        assert bz.localization_norm(W, 0.0) == (pytest.approx(math.sqrt(0.5)), "")
 
     def test_decays_radially(self):
         # value^2 = (|w|^2)~(z) - |z|^2 for u = w; falls toward the boundary
-        at_09 = bz.localization_norm(W, 0.9)
-        at_099 = bz.localization_norm(W, 0.99)
+        at_09 = bz.localization_norm(W, 0.9)[0]
+        at_099 = bz.localization_norm(W, 0.99)[0]
         square = bz.berezin_symbol_exact(MOD2, 0.9).real - 0.81
         assert at_09 ** 2 == pytest.approx(square, abs=1e-10)
         assert at_09 > at_099 > 0.0
@@ -439,7 +441,7 @@ class TestLocalization:
         for z in (0.6, 0.3 + 0.5j, 0.9):
             density = kernel_density(z, default_rule.nodes)
             square = np.dot(default_rule.weights, np.abs(values - u.evaluate(z)) ** 2 * density)
-            assert bz.localization_norm(u, z) == pytest.approx(math.sqrt(square), abs=1e-10)
+            assert bz.localization_norm(u, z)[0] == pytest.approx(math.sqrt(square), abs=1e-10)
 
 
 class TestDecayProfiles:
@@ -482,6 +484,34 @@ class TestDecayProfiles:
         profile = bz.decay_profile(lambda z: 1j, radii=[0.5])
         t, zr, zi, vr, vi, flag = profile.rows()[0]
         assert (t, zr, zi, vr, vi, flag) == (0.5, 0.5, 0.0, 0.0, 1.0, "")
+
+
+class TestRimGap:
+    """Rim formulas take 1 - |z|^2 correctly rounded from the stored point."""
+
+    KS = (20, 27, 30, 39)
+
+    @staticmethod
+    def exact_gap(z):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        return 1 - x * x - y * y
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    def test_rim_samples_match_exact_arithmetic(self, angle):
+        path = bz.PathSpec(angle=angle)
+        radii = [1.0 - 0.5 ** k for k in self.KS]
+        deriv = bz.commutator_compactness_indicator(W, W, radii, dim=8, path=path).deriv_profile
+        for r, sample in zip(radii, deriv.samples):
+            z = complex(path.point(r))
+            gap = self.exact_gap(z)
+            got = {"factored-laplacian": bz.factored_harmonic_invariant_laplacian([W, WBAR], z),
+                   "derivative-product": sample.value,
+                   "kernel-coefficient": bz.kernel_coefficients(z, 1)[0]}
+            want = {"factored-laplacian": 4 * gap ** 2, "derivative-product": gap ** 2,
+                    "kernel-coefficient": gap}
+            for name, value in got.items():
+                exact = float(want[name])
+                assert abs(value - exact) <= 1e-14 * exact, (name, r)
 
 
 class TestCommutatorIndicator:

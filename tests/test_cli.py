@@ -396,6 +396,18 @@ class TestDecayCommand:
         mags = [abs(complex(*s["value"])) for s in payload["profiles"][0]["samples"]]
         assert mags[0] > mags[-1]
 
+    def test_localization_floor_flags_instead_of_aborting(self, tmp_path):
+        # at k = 38 the square comes out one ulp of 4e10 below zero
+        out = tmp_path / "d.json"
+        code = run(["decay", "--field", "localization", "--symbol", "3,0:1e5;0,2:1e5",
+                    "--kmax", "39", "--out", str(out)])
+        assert code == 0
+        samples = read_json(out)["profiles"][0]["samples"]
+        assert len(samples) == 39
+        zeros = [s for s in samples if s["value"] == [0.0, 0.0]]
+        assert zeros and all(s["flag"] == "roundoff-floor" for s in zeros)
+        assert samples[0]["flag"] == ""
+
     def test_factored_laplacian_needs_factors(self):
         assert run(["decay", "--field", "factored-laplacian"]) == 2
 
@@ -640,7 +652,6 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [
-        ["decay", "--field", "localization", "--symbol", "3,0:1e5;0,2:1e5", "--kmax", "39"],
         ["berezin", "--symbol", "1,1:1", "--z", "0.99999999", "--route", "series"]])
     def test_numerical_failure_exits_five_without_traceback(self, args):
         proc = self.run_module(args)

@@ -1,13 +1,21 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezinlab.berezin import kernel_coefficients
-from berezinlab.diskgeom import DISK_RADIUS_MAX, DiskDomainError, DiskPoint, mobius_eval
+from berezinlab.diskgeom import (DISK_RADIUS_MAX, DiskDomainError, DiskPoint, disk_gap,
+                                 mobius_eval)
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
                                  allow_nan=False)
+# 1 - 2^-k at any angle, out to k = 39.5 where 1 - |z|^2 keeps about 12 digits of |z|
+rim_points = st.builds(lambda k, angle: complex((1.0 - 2.0 ** -k) * math.cos(angle),
+                                                (1.0 - 2.0 ** -k) * math.sin(angle)),
+                       st.floats(0.0, 39.5), st.floats(-math.pi, math.pi))
 
 
 def mobius_deriv_fd(z, w, h=1e-6):
@@ -44,6 +52,20 @@ class TestDiskPoint:
     def test_boundary_margin(self):
         DiskPoint(1.0 - 2e-12)  # just inside the allowed radius
         assert DISK_RADIUS_MAX < 1.0
+
+
+class TestDiskGap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z=st.one_of(rim_points, st.complex_numbers(max_magnitude=DISK_RADIUS_MAX,
+                                                      allow_infinity=False, allow_nan=False)))
+    def test_correctly_rounded(self, z):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        assert disk_gap(z) == float(1 - x * x - y * y)
+
+    def test_validates_the_point(self):
+        assert disk_gap(DiskPoint(0.6 + 0.8j * 0.5)) == disk_gap(0.6 + 0.4j)
+        with pytest.raises(DiskDomainError):
+            disk_gap(1.0)
 
 
 class TestMobius:

@@ -58,11 +58,13 @@ class TestIntegrate:
             default_rule.integrate(lambda w: abs(complex(w)) ** 2)
 
     def test_wrong_shape_evaluator_raises(self, default_rule):
-        grid = (default_rule.n_radial, default_rule.n_angular)
-        with pytest.raises(ValueError, match=r"\(80, 256\).*\(20480,\)"):
-            default_rule.integrate(lambda w: np.abs(w.reshape(grid)) ** 2)
-        with pytest.raises(ValueError, match=r"\(\).*\(20480,\)"):
+        # a callable sees slices of BLOCK_NODES nodes, an array all of them
+        with pytest.raises(ValueError, match=r"\(2, 2048\).*\(4096,\)"):
+            default_rule.integrate(lambda w: np.abs(w.reshape(2, -1)) ** 2)
+        with pytest.raises(ValueError, match=r"\(\).*\(4096,\)"):
             default_rule.integrate(lambda w: 0.5)
+        with pytest.raises(ValueError, match=r"\(80, 256\).*\(20480,\)"):
+            default_rule.integrate(np.abs(default_rule.node_grid()) ** 2)
 
     def test_accepts_precomputed_values(self, default_rule):
         values = np.abs(default_rule.nodes) ** 2

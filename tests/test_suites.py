@@ -65,6 +65,14 @@ def test_composed_block_memory_stays_small(big_rule):
     assert traced_peak_mb(lambda: composed_block(u, 0.7, big_rule, 16)) < 1.5
 
 
+def test_rule_doubling_memory_stays_small(default_rule):
+    # evaluating each symbol on all 81 920 nodes of the doubled rule peaked at 4.6 MB
+    np.random.default_rng(0)  # numpy.random's first import would count otherwise
+    battery = BATTERIES["rule-doubling-stability"]
+    assert traced_peak_mb(battery) < 3.0
+    assert battery().passed
+
+
 def test_unknown_battery_rejected():
     with pytest.raises(KeyError):
         run_batteries(only="nope")

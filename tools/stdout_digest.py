@@ -10,8 +10,9 @@ trees whose lines agree printed the same bytes on both streams for
 every command.  The list holds the README's ``berezinlab`` examples,
 the commands of perfbench's cli-session for seeds 1-3, the three symbol
 ``decay`` fields at ``--kmax 39`` for three symbols, the invariant
-Laplacian on a nontangential path to the rim, a few commands that
-reach the commutator defect, the series route (near the rim too) and
+Laplacian on a nontangential path to the rim, the factored Laplacian
+and the commutator's derivative profile on the ray at angle 0.3 out to
+``--kmax 39``, a few commands that reach the commutator defect, the series route (near the rim too) and
 the quadrature Toeplitz builder with other inputs, one of them on a
 grid of one full node slice and a ragged tail, input errors of every
 command, each of which writes one ``error:`` line and exits 2, and two
@@ -47,6 +48,10 @@ EXTRA = [
     ["berezin", "--symbol", "3,1:1;0,2:0.5i", "--z", "0.999,0.9995i", "--route", "series"],
     ["decay", "--field", "invariant-laplacian", "--symbol", "1,1:1", "--aperture", "0.7",
      "--kmax", "39"],
+    ["decay", "--field", "factored-laplacian", "--factor", "1,0:1", "--factor", "0,1:1",
+     "--theta", "0.3", "--kmax", "39"],
+    ["commutator", "--f", "1,0:1", "--g", "1,0:1", "--theta", "0.3", "--kmax", "39",
+     "--trunc", "16"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "16"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
      "--nr", "81", "--ntheta", "100"],
