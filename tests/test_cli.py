@@ -652,6 +652,8 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [
+        ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
+         "--kmax", "3"],
         ["berezin", "--symbol", "1,1:1", "--z", "0.99999999", "--route", "series"]])
     def test_numerical_failure_exits_five_without_traceback(self, args):
         proc = self.run_module(args)
