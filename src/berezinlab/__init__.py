@@ -18,7 +18,7 @@ from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
                       invariant_laplacian_symbol,
                       laplacian_berezin_at_zero_symbol, localization_norm,
                       mean_value_transform, operator_tail_bound)
-from .diskgeom import DiskDomainError, DiskPoint, disk_gap, disk_value, mobius_eval
+from .diskgeom import DiskDomainError, disk_gap, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         covariant_toeplitz, semicommutator_defect,
                         toeplitz_exact, toeplitz_quadrature, unitary_uz)

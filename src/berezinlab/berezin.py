@@ -483,18 +483,17 @@ class DecayProfile:
 
 
 def decay_profile(fieldfn, path: PathSpec = PathSpec(), radii=None,
-                  flag_fn=None, label: str = "") -> DecayProfile:
+                  label: str = "") -> DecayProfile:
     """Sample a field along the path at the given radii (dyadic default).
 
-    A field may return a (value, flag) pair; flag_fn flags the others.
+    A field returns a value, or a (value, flag) pair to flag its sample.
     """
     if radii is None:
         radii = dyadic_radii()
     samples = []
     for r in radii:
         z = complex(path.point(r))
-        flag = flag_fn(z) if flag_fn is not None else ""
-        value = fieldfn(z)
+        value, flag = fieldfn(z), ""
         if isinstance(value, tuple):
             value, flag = value
         samples.append(ProfileSample(float(r), z, complex(value), flag))
@@ -568,8 +567,8 @@ def commutator_compactness_indicator(f, g, radii=None,
 
     defect = analytic_commutator_defect(f, g, dim)
     berezin_profile = decay_profile(
-        lambda z: abs(berezin_operator(defect, z)),
-        path, radii, flag_fn=lambda z: operator_flag(dim, z), label="defect-berezin")
+        lambda z: (abs(berezin_operator(defect, z)), operator_flag(dim, z)),
+        path, radii, label="defect-berezin")
 
     zeros = []
     for h in (f, g):
@@ -600,8 +599,7 @@ def commutator_compactness_indicator(f, g, radii=None,
 
     return CommutatorReport(
         inputs={"f": _describe(f), "g": _describe(g)},
-        config={"dim": dim, "pad": dim,
-                "threshold": DECAY_THRESHOLD, "radii": list(map(float, radii)),
+        config={"dim": dim, "threshold": DECAY_THRESHOLD, "radii": list(map(float, radii)),
                 "angle": path.angle, "aperture": path.aperture},
         deriv_profile=deriv_profile,
         berezin_profile=berezin_profile,
@@ -663,12 +661,9 @@ def fit_operator_from_berezin(fieldfn, dim: int) -> TruncatedOperator:
     points = np.multiply.outer(np.linspace(0.1, 0.8, 15), np.exp(1j * angles)).ravel()
     b = np.array([complex(fieldfn(p)) for p in points])
 
-    n = np.arange(dim)
-    root = np.sqrt(n + 1.0)
-    zq = points[:, None] ** n[None, :] * root[None, :]          # z^q sqrt(q+1)
-    zp = np.conj(points)[:, None] ** n[None, :] * root[None, :]  # conj(z)^p sqrt(p+1)
-    prefactor = (1.0 - np.abs(points) ** 2) ** 2
-    design = prefactor[:, None] * (zq[:, :, None] * zp[:, None, :]).reshape(len(points), -1)
+    # sample i is conj(c[i]) . S c[i], c[i] the coefficients of k at point i
+    c = np.array([kernel_coefficients(p, dim) for p in points])
+    design = (np.conj(c)[:, :, None] * c[:, None, :]).reshape(len(points), -1)
 
     coeffs, *_ = np.linalg.lstsq(design, b, rcond=None)
     return TruncatedOperator(coeffs.reshape(dim, dim))

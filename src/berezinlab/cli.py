@@ -356,8 +356,7 @@ def cmd_decay(args) -> int:
                           "symbol": args.symbol, "factors": args.factor},
                "config": {**_dump_config(args), **POLICY},
                "profiles": [_profile_payload(profile)],
-               "residuals": {"final_magnitude": float(profile.magnitudes()[-1])},
-               "verdict": ""}
+               "residuals": {"final_magnitude": float(profile.magnitudes()[-1])}}
     _emit(payload, profile.rows(),
           ("t", "z_re", "z_im", "value_re", "value_im", "flag"), args)
     return EXIT_OK

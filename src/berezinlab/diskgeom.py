@@ -2,8 +2,8 @@
 
 Everything in this module is an exact formula evaluated in double
 precision.  The open unit disk D carries the normalized area measure
-(total mass 1); points are plain complex numbers wrapped in
-:class:`DiskPoint` at API boundaries.
+(total mass 1); points are plain complex numbers, checked by
+:func:`disk_value` at API boundaries.
 
 Conventions:
 
@@ -17,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Every kernel and automorphism formula has a (1 - |z|^2) singularity at the
 # boundary; points are kept a safe distance inside so all values stay finite.
@@ -28,38 +27,16 @@ class DiskDomainError(ValueError):
     """Raised when a point required to lie inside the unit disk does not."""
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point strictly inside the unit disk.
-
-    Construction rejects |value| > 1 - 1e-12 so that downstream kernel
-    evaluations remain finite.
-    """
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if not math.isfinite(v.real) or not math.isfinite(v.imag):
-            raise DiskDomainError(f"disk point must be finite, got {v!r}")
-        if abs(v) > DISK_RADIUS_MAX:
-            raise DiskDomainError(
-                f"|z| = {abs(v):.17g} exceeds the allowed disk radius {DISK_RADIUS_MAX}"
-            )
-        object.__setattr__(self, "value", v)
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def __abs__(self) -> float:
-        return abs(self.value)
-
-
 def disk_value(z) -> complex:
-    """Validate and unwrap a DiskPoint or raw complex number."""
-    if isinstance(z, DiskPoint):
-        return z.value
-    return DiskPoint(z).value
+    """z as a complex number, refused unless finite with |z| <= DISK_RADIUS_MAX."""
+    v = complex(z)
+    if not math.isfinite(v.real) or not math.isfinite(v.imag):
+        raise DiskDomainError(f"disk point must be finite, got {v!r}")
+    if abs(v) > DISK_RADIUS_MAX:
+        raise DiskDomainError(
+            f"|z| = {abs(v):.17g} exceeds the allowed disk radius {DISK_RADIUS_MAX}"
+        )
+    return v
 
 
 def disk_gap(z) -> float:

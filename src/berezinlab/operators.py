@@ -198,42 +198,34 @@ def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
 
         D[n, p] = c D[n-1, p] + x[n],   x[n] = z D[n, p-1] - D[n-1, p-1].
 
-    It takes a fixed number of numpy calls whatever |z| is.  When
-    c^8 < 1e-18 it is the product (1 + c S)(1 + c^2 S^2)(1 + c^4 S^4), S
-    the shift, cut where c^(2^j) < 1e-18; otherwise the scaled prefix sum
-    y[s+i] = c^i (cumsum(c^-i x) + c y[s-1]) over blocks of length B with
-    |c|^-B <= 1e290, all in one call.  Blocks are cut only when the rows
-    exceed one, so each is over B/2 long and c^B < 1e-140: the carry goes
-    one block deep.  Entries with n < rows read only smaller n, so the
-    cut at ``rows`` is exact.  Column p is row p of a (cols, rows) array
-    padded to whole blocks; its transposed view is returned, scaled in
-    place by sqrt(p+1) / sqrt(n+1).
+    It takes a fixed number of numpy calls whatever |z| is: the scaled
+    prefix sum y[s+i] = c^i (cumsum(c^-i x) + c y[s-1]) over blocks of
+    length B with |c|^-B <= 1e290, all in one call.  Blocks are cut only
+    when the rows exceed one, so each is over B/2 long and c^B < 1e-140:
+    the carry goes one block deep.  With one row, or |c| < 1e-18, the
+    solve is skipped and D[n, p] = x[n].  Entries with n < rows read only
+    smaller n, so the cut at ``rows`` is exact.  Column p is row p of a
+    (cols, rows) array padded to whole blocks; its transposed view is
+    returned, scaled in place by sqrt(p+1) / sqrt(n+1).
     """
     zv = disk_value(z)
     zc = zv.conjugate()
 
-    steps = []  # doubling factors (shift, conj(z)**shift)
-    s, c = 1, zc
-    while s < rows and abs(c) >= 1e-18:
-        steps.append((s, c))
-        s, c = 2 * s, c * c
-    prefix = len(steps) > 3  # up to three factors cost less than a prefix sum
-    blocks = -(-rows // int(290.0 / -math.log10(abs(zv)))) if prefix else 1
+    solve = rows > 1 and abs(zc) >= 1e-18
+    blocks = -(-rows // int(290.0 / -math.log10(abs(zv)))) if solve else 1
     width = -(-rows // blocks)
 
     m = np.empty((cols, blocks, width), dtype=complex)
     flat = m.reshape(cols, blocks * width)
     flat[0] = -disk_gap(zv) * np.arange(1, flat.shape[1] + 1) * zc ** np.arange(flat.shape[1])
-    if prefix:
+    if solve:
         power = np.multiply.accumulate(np.r_[1.0, np.full(width - 1, zc)])
         inverse = 1.0 / power
     for p in range(1, cols):
         prev, y = flat[p - 1], flat[p]
         np.multiply(prev, zv, out=y)
         np.subtract(y[1:], prev[:-1], out=y[1:])
-        if not prefix:
-            for s, c in steps:
-                y[s:] += c * y[:-s]
+        if not solve:
             continue
         grid = m[p]
         np.multiply(grid, inverse, out=grid)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diskgeom import DiskPoint, disk_gap, disk_value
+from .diskgeom import disk_gap, disk_value
 from .quadrature import BLOCK_NODES
 
 # Coefficients with modulus at or below this (relative to the symbol's
@@ -211,7 +211,7 @@ class MonomialSymbol:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, w) -> complex:
-        wv = disk_value(w) if isinstance(w, DiskPoint) else complex(w)
+        wv = complex(w)
         total = 0j
         for (j, k), c in self._coeffs.items():
             total += c * wv ** j * wv.conjugate() ** k

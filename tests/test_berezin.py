@@ -474,8 +474,8 @@ class TestDecayProfiles:
             bz.PathSpec(aperture=2.0)
 
     def test_flags_recorded(self):
-        profile = bz.decay_profile(lambda z: 1.0, radii=bz.dyadic_radii(8),
-                                   flag_fn=lambda z: bz.operator_flag(64, z))
+        profile = bz.decay_profile(lambda z: (1.0, bz.operator_flag(64, z)),
+                                   radii=bz.dyadic_radii(8))
         flags = [s.flag for s in profile.samples]
         assert flags[0] == "" and flags[-1] == "truncation-unreliable"
         assert len(profile.reliable().samples) < len(profile.samples)

@@ -495,7 +495,7 @@ COMMANDS = {
                        POLICY_KEYS | {"series_tol", "truncation", "n_radial", "n_angular"}),
     "commutator": (["--f", "1,0:1", "--g", "1,0:1", "--kmax", "4", "--trunc", "16"],
                    "--out --format --trunc --strict",
-                   POLICY_KEYS | {"dim", "pad", "threshold", "radii", "angle", "aperture"}),
+                   POLICY_KEYS | {"dim", "threshold", "radii", "angle", "aperture"}),
     "decay": (["--field", "localization", "--symbol", "1,0:1", "--kmax", "4"],
               "--out --format", POLICY_KEYS),
 }

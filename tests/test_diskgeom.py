@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezinlab.berezin import kernel_coefficients
-from berezinlab.diskgeom import (DISK_RADIUS_MAX, DiskDomainError, DiskPoint, disk_gap,
+from berezinlab.diskgeom import (DISK_RADIUS_MAX, DiskDomainError, disk_gap, disk_value,
                                  mobius_eval)
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
@@ -34,23 +34,23 @@ def bergman_kernel(z, w):
     return 1.0 / (1.0 - np.conj(z) * w) ** 2
 
 
-class TestDiskPoint:
+class TestDiskValue:
     def test_accepts_interior(self):
-        p = DiskPoint(0.3 + 0.4j)
-        assert complex(p) == 0.3 + 0.4j
+        p = disk_value(0.3 + 0.4j)
+        assert p == 0.3 + 0.4j and type(p) is complex
         assert abs(p) == pytest.approx(0.5)
 
     def test_rejects_boundary_and_outside(self):
         for bad in (1.0, -1.0, 1.5j, 2.0 + 2.0j, 1.0 - 5e-13):
-            with pytest.raises(DiskDomainError):
-                DiskPoint(bad)
+            with pytest.raises(DiskDomainError, match="exceeds the allowed disk radius"):
+                disk_value(bad)
 
     def test_rejects_nan(self):
-        with pytest.raises(DiskDomainError):
-            DiskPoint(complex("nan"))
+        with pytest.raises(DiskDomainError, match="disk point must be finite"):
+            disk_value(complex("nan"))
 
     def test_boundary_margin(self):
-        DiskPoint(1.0 - 2e-12)  # just inside the allowed radius
+        disk_value(1.0 - 2e-12)  # just inside the allowed radius
         assert DISK_RADIUS_MAX < 1.0
 
 
@@ -63,7 +63,7 @@ class TestDiskGap:
         assert disk_gap(z) == float(1 - x * x - y * y)
 
     def test_validates_the_point(self):
-        assert disk_gap(DiskPoint(0.6 + 0.8j * 0.5)) == disk_gap(0.6 + 0.4j)
+        assert disk_gap(np.complex128(0.6 + 0.4j)) == disk_gap(0.6 + 0.4j)
         with pytest.raises(DiskDomainError):
             disk_gap(1.0)
 
@@ -90,10 +90,6 @@ class TestMobius:
     @given(z=disk_points, w=disk_points)
     def test_involution_property(self, z, w):
         assert abs(mobius_eval(z, mobius_eval(z, w)) - w) < 1e-12
-
-    def test_accepts_diskpoint_wrappers(self):
-        assert mobius_eval(DiskPoint(0.1), DiskPoint(0.2j)) == pytest.approx(
-            mobius_eval(0.1, 0.2j))
 
 
 class TestMobiusDerivative:

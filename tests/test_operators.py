@@ -285,10 +285,11 @@ class TestUnitary:
     @pytest.mark.parametrize("r", [0.0, 1e-200, 1e-30, 1e-5, 0.05, 0.1, 0.3, 0.6,
                                    0.9, 0.99, 0.999])
     def test_column_block_matches_convolution_across_radii(self, r):
-        # below |z| ~ 5.6e-3 the build takes the doubling product; above,
-        # 300 rows need two prefix blocks at |z| = 0.05, 700 rows two at
-        # 0.3 and 1024 rows five at 0.05, and the square and the 200
-        # columns carry weight across the block boundaries
+        # below |z| = 1e-18 the build skips the solve; above, prefix blocks
+        # hold at most 290 / log10(1/|z|) rows: 64 rows need two at 1e-5,
+        # 300 rows two at |z| = 0.05, 700 rows two at 0.3 and 1024 rows
+        # five at 0.05, and the square and the 200 columns carry weight
+        # across the block boundaries
         z = r * np.exp(0.3j)
         for rows, cols in ((1, 1), (1, 7), (2, 9), (64, 64), (300, 300),
                            (700, 200), (1024, 8)):
@@ -296,6 +297,29 @@ class TestUnitary:
             assert got.shape == (rows, cols)
             want = uz_columns_by_convolution(z, rows, cols)
             assert np.max(np.abs(got - want)) < 1e-12, (rows, cols)
+
+    def test_small_entries_match_high_precision_sum(self):
+        # at |z| ~ 4e-3 entries fall to ~1e-150 down each column; every one,
+        # not just the large ones, must keep its leading digits.  The
+        # reference sums the recurrence D[n, p] = c D[n-1, p] + z D[n, p-1]
+        # - D[n-1, p-1] in 60 digits (the convolution tests above check
+        # the recurrence itself)
+        mp = pytest.importorskip("mpmath")
+        z, dim = 0.004 + 0.001j, 64
+        got = operators._uz_columns(z, dim, dim)
+        with mp.workdps(60):
+            zm = mp.mpc(z)
+            zc = mp.conj(zm)
+            prev = [(abs(zm) ** 2 - 1) * (n + 1) * zc ** n for n in range(dim)]
+            for p in range(dim):
+                if p:
+                    column = [zm * prev[0]]
+                    for n in range(1, dim):
+                        column.append(zc * column[-1] + zm * prev[n] - prev[n - 1])
+                    prev = column
+                for n in range(dim):
+                    want = mp.sqrt(p + 1) / mp.sqrt(n + 1) * prev[n]
+                    assert abs(got[n, p] - want) <= 1e-12 * abs(want), (n, p)
 
     @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.9, 0.999])
     def test_entries_bounded_by_one(self, r):

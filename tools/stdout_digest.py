@@ -14,7 +14,8 @@ Laplacian on a nontangential path to the rim, the factored Laplacian
 and the commutator's derivative profile on the ray at angle 0.3 out to
 ``--kmax 39``, a few commands that reach the commutator defect, the series route (near the rim too) and
 the quadrature Toeplitz builder with other inputs, one of them on a
-grid of one full node slice and a ragged tail, input errors of every
+grid of one full node slice and a ragged tail, a ``U_z`` dump near the
+origin whose entries fall to about 1e-150, input errors of every
 command, each of which writes one ``error:`` line and exits 2, and two
 finite symbols whose transforms overflow, which exit 5.
 No command writes a path of TREE, but a numpy RuntimeWarning names its
@@ -55,6 +56,7 @@ EXTRA = [
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "16"],
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
      "--nr", "81", "--ntheta", "100"],
+    ["uz", "--z", "0.004+0.001i", "--trunc", "64"],
     # input errors
     ["berezin", "--symbol", "1,1", "--z", "0"],
     ["toeplitz", "--symbol", "1,1:x", "--trunc", "8"],
