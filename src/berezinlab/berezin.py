@@ -16,8 +16,9 @@ Five routes to the same number:
   real grid over the rule's rings and angles, formed without
   cancellation; a polynomial symbol is never evaluated on the nodes but
   contracted with the density's per-ring angular Fourier sums;
-* mean-value route: u~(z) = integral of u o phi_z dA, summed over
-  fixed slices of the rule's nodes.
+* mean-value route: u~(z) = integral of u o phi_z dA, summed term by
+  term from one table of powers of phi_z per slice of the rule's nodes,
+  with no node values of u formed.
 
 Invariant Laplacians are exact: the exact route on a symbol's, or the
 product rule on a truncated operator's polynomial transform.
@@ -286,8 +287,10 @@ def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
 
     Substituting w = phi_z(v) in the kernel integral leaves
     integral (u o phi_z) dA, an independent route used as a cross-check.
+    The rule's sum is taken term by term from powers of phi_z(nodes)
+    (MonomialSymbol.weighted_sum), with no node values of u.
     """
-    return rule.integrate(u.compose_mobius_evaluator(z))
+    return u.weighted_sum(rule.nodes, rule.weights, z)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +375,11 @@ def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> comp
 
     Equals (1 - |z|^2)^2 (Delta u~)(z); the vanishing of either as
     z approaches the boundary is one of the equivalent fixed-point
-    criteria this laboratory probes.
+    criteria this laboratory probes.  The rule's sum folds 2|w|^2 - 1
+    into the node weights and goes through MonomialSymbol.weighted_sum.
     """
-    composed = u.compose_mobius_evaluator(z)
-
-    def integrand(w):
-        return composed(w) * (2.0 * np.abs(w) ** 2 - 1.0)
-
-    return 8.0 * rule.integrate(integrand)
+    weights = rule.weights * (2.0 * np.abs(rule.nodes) ** 2 - 1.0)
+    return 8.0 * u.weighted_sum(rule.nodes, weights, z)
 
 
 def factored_harmonic_invariant_laplacian(factors, z) -> complex:
@@ -661,8 +661,11 @@ def fit_operator_from_berezin(fieldfn, dim: int) -> TruncatedOperator:
     points = np.multiply.outer(np.linspace(0.1, 0.8, 15), np.exp(1j * angles)).ravel()
     b = np.array([complex(fieldfn(p)) for p in points])
 
-    # sample i is conj(c[i]) . S c[i], c[i] the coefficients of k at point i
-    c = np.array([kernel_coefficients(p, dim) for p in points])
+    # sample i is conj(c[i]) . S c[i], c[i] = kernel_coefficients(points[i], dim),
+    # here all rows in one expression
+    n = np.arange(dim)
+    gaps = np.array([disk_gap(p) for p in points])
+    c = gaps[:, None] * np.sqrt(n + 1.0) * np.conj(points)[:, None] ** n
     design = (np.conj(c)[:, :, None] * c[:, None, :]).reshape(len(points), -1)
 
     coeffs, *_ = np.linalg.lstsq(design, b, rcond=None)

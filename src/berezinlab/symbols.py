@@ -233,6 +233,49 @@ class MonomialSymbol:
         zv = disk_value(z)
         return lambda w: self._evaluate_by_slices(w, zv)
 
+    def weighted_sum(self, nodes: np.ndarray, weights: np.ndarray, z=None) -> complex:
+        """sum_n weights_n u(x_n), x = phi_z(nodes), or the nodes when z is None.
+
+        No node value of u is formed.  Each slice of the 1-d ``nodes`` gets
+        one table of the powers x^1 .. x^top, and a term c w^j conj(w)^k
+        adds c vdot(x^k, weights x^j), or c times the pairwise np.sum of
+        weights x^j when k = 0, which keeps the weights' own sum to an ulp
+        or two.  The table is allocated once per call and holds at most
+        8 BLOCK_NODES entries, so above exponent 8 the slices shrink.
+        """
+        if not self._coeffs:
+            return 0j
+        zv = None if z is None else disk_value(z)
+        by_j = {}
+        for (j, k), c in self._coeffs.items():
+            by_j.setdefault(j, []).append((k, c))
+        top = max(max(j, k) for j, k in self._coeffs)
+        step = min(nodes.size, BLOCK_NODES, 8 * BLOCK_NODES // max(top, 1))
+        powers = np.empty((top, step), dtype=complex)
+        weighted, scratch = np.empty((2, step), dtype=complex)
+        total = 0j
+        for start in range(0, nodes.size, step):
+            w = nodes[start:start + step]
+            n = len(w)
+            table, omega, scaled = powers[:, :n], weighted[:n], scratch[:n]
+            omega[:] = weights[start:start + n]
+            if top:
+                x = table[0]
+                if zv is None:
+                    x[:] = w
+                else:
+                    np.multiply(w, zv.conjugate(), out=scaled)
+                    np.subtract(1.0, scaled, out=scaled)
+                    np.subtract(zv, w, out=x)
+                    x /= scaled
+                for p in range(1, top):
+                    np.multiply(table[p - 1], x, out=table[p])
+            for j, terms in by_j.items():
+                row = omega if j == 0 else np.multiply(omega, table[j - 1], out=scaled)
+                for k, c in terms:
+                    total += c * (np.sum(row) if k == 0 else np.vdot(table[k - 1], row))
+        return complex(total)
+
     def _evaluate_by_slices(self, w, zv) -> np.ndarray:
         """u, or u o phi_zv unless zv is None, at every entry of ``w``."""
         w = np.asarray(w, dtype=complex)

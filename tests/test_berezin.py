@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,19 @@ class TestMeanValueRoute:
                 whole = np.dot(rule.weights, u.compose_mobius_evaluator(z)(rule.nodes))
                 got = bz.mean_value_transform(u, z, rule)
                 assert abs(got - whole) <= 1e-15 * max(1.0, abs(whole))
+
+    def test_degree_40_memory_stays_small(self, default_rule):
+        # the power table is capped at 8 x 4096 entries, 0.52 MB; all 41
+        # rows of 4096 nodes would take 2.7 MB
+        u = MonomialSymbol({(40, 0): 1.0, (20, 20): -1.0, (3, 1): 1j, (0, 40): 0.5})
+        bz.mean_value_transform(u, 0.3 + 0.2j, default_rule)
+        tracemalloc.start()
+        try:
+            bz.mean_value_transform(u, 0.3 + 0.2j, default_rule)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 0.75
 
 
 class TestProducts:

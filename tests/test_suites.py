@@ -73,6 +73,13 @@ def test_rule_doubling_memory_stays_small(default_rule):
     assert battery().passed
 
 
+def test_injectivity_residual_unchanged():
+    # the value the report printed while the design rows came from one
+    # kernel_coefficients call per sample
+    residual = run_batteries(only="berezin-injectivity")[0].max_residual
+    assert float(f"{residual:.12g}") == 3.02155777455e-12
+
+
 def test_unknown_battery_rejected():
     with pytest.raises(KeyError):
         run_batteries(only="nope")

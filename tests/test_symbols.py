@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berezinlab.quadrature import build_rule
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product,
                                 format_complex, parse_blaschke_zeros,
@@ -255,6 +258,69 @@ class TestSlicedEvaluation:
                                _whole_array_horner(u, _phi(0.6j, w)))):
                 ulp = np.spacing(np.max(np.abs(want), initial=0.0))
                 assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
+
+
+def _horner_sum(u, nodes, weights, z=None):
+    """Reference: Horner node values, their weighted products summed exactly."""
+    values = u.evaluate_array(nodes) if z is None else u.compose_mobius_evaluator(z)(nodes)
+    terms = weights * values
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+class TestWeightedSum:
+    """The power-table sum against Horner node values and exact rule moments."""
+
+    POINTS = (None, 0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j))
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_empty_symbol_is_zero(self, default_rule):
+        for z in (None, 0.5j):
+            got = MonomialSymbol({}).weighted_sum(default_rule.nodes, default_rule.weights, z)
+            assert type(got) is complex and got == 0j
+
+    def test_constant(self, default_rule):
+        u = MonomialSymbol.constant(2.5 - 1j)
+        nodes, weights = default_rule.nodes, default_rule.weights
+        for z in self.POINTS:
+            got = u.weighted_sum(nodes, weights, z)
+            self._assert_close(got, _horner_sum(u, nodes, weights, z))
+            self._assert_close(got, (2.5 - 1j) * math.fsum(weights))
+
+    # 20 480 nodes fill five slices, 5000 end in a partial one and 3000
+    # fit in one; exponents above 8 run the capped, shorter slices
+    @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
+    def test_matches_horner(self, shape):
+        rule = build_rule(*shape)
+        rng = np.random.default_rng(44)
+        symbols = [_random_symbol(rng, max_degree=d, n_terms=8) for d in (6, 6, 12, 12)]
+        symbols.append(MonomialSymbol({(12, 0): 1.0, (3, 8): 0.5j, (0, 9): -0.25,
+                                       (0, 0): 1.0}))
+        for u in symbols:
+            for z in self.POINTS:
+                self._assert_close(u.weighted_sum(rule.nodes, rule.weights, z),
+                                   _horner_sum(u, rule.nodes, rule.weights, z))
+
+    @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
+    def test_plain_sum_matches_rule_moments(self, shape):
+        rule = build_rule(*shape)
+        rng = np.random.default_rng(45)
+        for _ in range(6):
+            u = _random_symbol(rng, max_degree=12, n_terms=8)
+            exact = sum(c * rule.rule_moment(j, k) for (j, k), c in u.coeffs.items())
+            self._assert_close(u.weighted_sum(rule.nodes, rule.weights), exact)
+
+    def test_harmonic_defect_weights(self, default_rule):
+        nodes = default_rule.nodes
+        weights = default_rule.weights * (2.0 * np.abs(nodes) ** 2 - 1.0)
+        rng = np.random.default_rng(46)
+        for _ in range(4):
+            u = _random_symbol(rng, max_degree=6, n_terms=8)
+            for z in self.POINTS[1:]:
+                self._assert_close(u.weighted_sum(nodes, weights, z),
+                                   _horner_sum(u, nodes, weights, z))
 
 
 class TestAdopt:
