@@ -12,10 +12,11 @@ Five routes to the same number:
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
-  aliasing estimate stays within RELIABILITY_TOL.  The density is one
-  real grid over the rule's rings and angles, formed without
-  cancellation; a polynomial symbol is never evaluated on the nodes but
-  contracted with the density's per-ring angular Fourier sums;
+  aliasing estimate stays within RELIABILITY_TOL.  For a polynomial
+  symbol each ring's angular sum of the density, aliases included, is a
+  closed form in the density's Fourier coefficients, so no node is
+  visited; node values meet the density on the nodes, a real grid
+  formed without cancellation, and the two share no code;
 * mean-value route: u~(z) = integral of u o phi_z dA, summed term by
   term from one table of powers of phi_z per slice of the rule's nodes,
   with no node values of u formed.
@@ -240,46 +241,79 @@ def _kernel_density_grid(z, rule: DiskQuadrature) -> np.ndarray:
     return np.divide(rim * rim, grid, out=grid)
 
 
-def _contract_by_frequency(u: MonomialSymbol, density: np.ndarray,
-                           rule: DiskQuadrature) -> complex:
-    """The rule's sum of u |k_z|^2, one angular frequency d = j - k at a time.
+def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
+    """w_i (1/n) sum_l |k_z(r_i e^{i theta_l})|^2 e^{i d theta_l} in closed form.
 
-    On ring i, sum_jk c_jk r_i^{j+k} e^{i d theta_l} against the density
-    reduces to the ring's Fourier sums sum_l rho_il e^{i d theta_l}; the
-    same finite sum as on the nodes, so aliasing at |d| >= n_angular is
-    unchanged.
+    One row per frequency d of ``freqs``, one column per ring i.  On ring
+    r the density's Fourier coefficients are gap^2 c_m with
+    c_m = a^m ((1+t) + m(1-t)) / (1-t)^3, a = conj(z) r, t = |a|^2, for
+    m >= 0 and conj(c_{-m}) below; the trapezoid sum keeps the c_m with
+    m = -d mod n, two geometric-arithmetic series in A = a^n, which
+    start at m+ = -d mod n and at M = n - m+.  1 - t is (1 - s)(1 + s),
+    s = r|z|, with 1 - s as in _kernel_density_grid, and a^m is
+    s^m u^m, u = conj(z)/|z|, with u's powers as running products (exact
+    on the axes).  The weight, gap^2 and 1/(1-t)^3 are folded in first,
+    so a row is O(1) wherever the density is.
     """
-    n = rule.n_angular
-    radial = {}
-    for (j, k), c in u.coeffs.items():
-        radial[j - k] = radial.get(j - k, 0.0) + c * rule.radial_r ** (j + k)
-    if not radial:
+    zv = disk_value(z)
+    rho, rim = abs(zv), disk_gap(zv)
+    n, r = rule.n_angular, rule.radial_r
+    s = r * rho
+    one_minus_t = ((1.0 - r) + r * (rim / (1.0 + rho))) * (1.0 + s)
+    unit = np.full(n + 1, complex(zv.real / rho, -zv.imag / rho) if rho else 1 + 0j)
+    unit[0] = 1.0
+    phase = np.cumprod(unit)
+    big_a = s ** n * phase[n]
+    q = 1.0 / (1.0 - big_a)
+    scale = rule.radial_w * (rim * rim / one_minus_t ** 3)
+    slope = scale * one_minus_t * q
+    base = scale * ((1.0 + s * s) * q + n * one_minus_t * big_a * q * q)
+    m_plus = -freqs % n
+    m = np.concatenate((m_plus, n - m_plus))[:, None]
+    series = np.power(s, m) * phase[m] * (base + m * slope)
+    return series[:len(freqs)] + series[len(freqs):].conj()
+
+
+def _contract_by_ring_sums(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
+    """The rule's sum of u |k_z|^2 from the density's ring sums, no nodes visited.
+
+    Term c w^j conj(w)^k contributes c sum_i r_i^{j+k} times the ring sum
+    at frequency d = j - k (_ring_sums), aliases at |d| >= n_angular
+    included.  Each term's radial sum is formed before its coefficient
+    multiplies it, and the sums are pairwise, in an order numpy fixes.
+    """
+    coeffs = u.coeffs
+    if not coeffs:
         return 0j
-    freqs = np.fromiter(radial, dtype=int, count=len(radial))
-    phase = (2.0 * np.pi / n) * (np.multiply.outer(np.arange(n), freqs) % n)
-    fourier = density @ np.cos(phase) + 1j * (density @ np.sin(phase))
-    polys = np.stack(list(radial.values()), axis=1)
-    return complex(np.sum(fourier * polys * (rule.radial_w / n)[:, None]))
+    column = {}
+    for j, k in coeffs:
+        column.setdefault(j - k, len(column))
+    freqs = np.fromiter(column, dtype=int, count=len(column))
+    rows = _ring_sums(z, rule, freqs)[[column[j - k] for j, k in coeffs]]
+    powers = np.fromiter((j + k for j, k in coeffs), dtype=float, count=len(coeffs))
+    rows *= np.power(rule.radial_r, powers[:, None])
+    values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    return complex((values * rows.sum(axis=1)).sum())
 
 
 def berezin_symbol_quadrature(u, z, rule: DiskQuadrature) -> complex:
     """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule.
 
-    ``u`` is a polynomial symbol, contracted with the density frequency by
-    frequency, or an array of its values on ``rule.nodes`` (handy when many
-    z share one symbol), met with the real density in real arithmetic;
-    anything else raises TypeError.  Both branches share one density grid,
-    so each cross-checks the other.
+    ``u`` is a polynomial symbol, summed ring by ring in closed form
+    (_contract_by_ring_sums), or an array of its values on ``rule.nodes``
+    (handy when many z share one symbol), met with the weighted density
+    grid in one pairwise sum; anything else raises TypeError.  The
+    branches share no code, so each checks the other, and neither calls
+    BLAS.
     """
-    density = _kernel_density_grid(z, rule)
     if isinstance(u, MonomialSymbol):
-        return _contract_by_frequency(u, density, rule)
+        return _contract_by_ring_sums(u, z, rule)
     if not (isinstance(u, np.ndarray) and u.shape == rule.nodes.shape):
         raise TypeError(f"expected a MonomialSymbol or an array of {rule.nodes.size}"
                         f" node values, got {type(u).__name__}")
+    density = _kernel_density_grid(z, rule)
     density *= (rule.radial_w / rule.n_angular)[:, None]
-    weighted = density.ravel()
-    return complex(np.dot(u.real, weighted), np.dot(u.imag, weighted))
+    return complex(np.sum(u * density.ravel()))
 
 
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:

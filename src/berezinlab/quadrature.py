@@ -73,22 +73,16 @@ class DiskQuadrature:
         """Nodes as an (n_radial, n_angular) grid, row i at radius r_i."""
         return self.nodes.reshape(self.n_radial, self.n_angular)
 
-    def integrate(self, f) -> complex:
-        """Integrate a vectorized evaluator (or an array of node values).
+    def integrate(self, values) -> complex:
+        """The rule's sum of an array of node values, as numpy's pairwise sum.
 
-        A callable is summed over slices of BLOCK_NODES nodes, an array at
-        once; values of any shape other than their nodes' raise ValueError.
+        Values of any shape other than the nodes' raise ValueError.
         """
-        step = BLOCK_NODES if callable(f) else self.nodes.size
-        total = 0j
-        for start in range(0, self.nodes.size, step):
-            nodes = self.nodes[start:start + step]
-            values = np.asarray(f(nodes) if callable(f) else f, dtype=complex)
-            if values.shape != nodes.shape:
-                raise ValueError(f"integrand has shape {values.shape}, nodes have"
-                                 f" shape {nodes.shape}")
-            total += np.dot(self.weights[start:start + step], values)
-        return complex(total)
+        values = np.asarray(values)
+        if values.shape != self.nodes.shape:
+            raise ValueError(f"integrand has shape {values.shape}, nodes have"
+                             f" shape {self.nodes.shape}")
+        return complex(np.sum(self.weights * values))
 
     def rule_moment(self, a: int, b: int) -> complex:
         """The rule's value on w^a conj(w)^b, by the tensor structure.

@@ -231,15 +231,45 @@ class TestQuadratureRoute:
                 assert abs(grid[ring, l] - exact) <= tol * exact
 
     def test_symbol_branch_matches_node_values(self, default_rule):
+        # The branches share nothing past the rule.  Off the axis at the
+        # rim the node grid carries the error (at 0.999 e^{-2.9i} it is
+        # 2.8e-13 off a 40-digit rule sum, the ring sums 5e-15), so those
+        # points get the 1e-12 the grid is granted at a generic angle.
         rng = np.random.default_rng(42)
         for _ in range(6):
             u = suites.random_symbol(rng, max_degree=8)
             values = u.evaluate_array(default_rule.nodes)
-            rim = [r * np.exp(1j * a) for r in (0.99, 0.999) for a in (0.0, 1.3, -2.9)]
-            for z in list(suites.sample_points(rng, 5, 0.9)) + rim:
+            rim = [(r * np.exp(1j * a), 1e-12 if a else 1e-13)
+                   for r in (0.99, 0.999) for a in (0.0, 1.3, -2.9)]
+            for z, tol in [(z, 1e-13) for z in suites.sample_points(rng, 5, 0.9)] + rim:
                 by_symbol = bz.berezin_symbol_quadrature(u, z, default_rule)
                 by_values = bz.berezin_symbol_quadrature(values, z, default_rule)
-                assert abs(by_symbol - by_values) <= 1e-13 * max(1.0, abs(by_values))
+                assert abs(by_symbol - by_values) <= tol * max(1.0, abs(by_values))
+
+    @pytest.mark.parametrize("z", [0.0, 0.999, -0.999j, -0.9999, 0.3 + 0.4j,
+                                   0.999 * np.exp(0.7j), 0.99 * np.exp(-2.9j)])
+    def test_ring_sums_against_40_digits(self, z):
+        # every node of a 12 x 32 rule, at frequencies that alias
+        mpmath = pytest.importorskip("mpmath")
+        rule = build_rule(12, 32)
+        n = rule.n_angular
+        freqs = np.array([-45, -33, -32, -31, -1, 0, 1, 5, 31, 32, 33, 64])
+        got = bz._ring_sums(z, rule, freqs)
+        assert got.shape == (len(freqs), rule.n_radial)
+        z = complex(z)
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(z.real, z.imag)
+            gap2 = (1 - abs(zm) ** 2) ** 2
+            for i, (r, w) in enumerate(zip(rule.radial_r, rule.radial_w)):
+                nodes = [mpmath.mpf(float(r)) * mpmath.expjpi(mpmath.mpf(2 * l) / n)
+                         for l in range(n)]
+                density = [gap2 / abs(1 - mpmath.conj(zm) * x) ** 4 for x in nodes]
+                for row, d in enumerate(freqs.tolist()):
+                    ref = mpmath.mpf(float(w)) / n * mpmath.fsum(
+                        rho * mpmath.expjpi(mpmath.mpf(2 * l * d) / n)
+                        for l, rho in enumerate(density))
+                    ref = complex(ref)
+                    assert abs(got[row, i] - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_both_branches_alias_alike_on_coarse_rule(self):
         # frequencies |j - k| >= n_angular fold onto retained ones

@@ -590,9 +590,9 @@ class TestNonFiniteOutput:
     """Finite symbols whose transforms overflow: exit 5, one line, nothing written."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["berezin", "--symbol", "2,4:-1e308;1,5:3", "--z", "0.3+0.4i",
+        (["berezin", "--symbol", "0,0:1.5e308;1,1:1.5e308", "--z", "0.5",
           "--route", "quadrature"],
-         "report.results[0].values.quadrature.real is not finite (nan)"),
+         "report.results[0].values.quadrature.real is not finite (inf)"),
         (["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
           "--kmax", "3", "--format", "csv"],
          "value_re of row 3 is not finite (inf)"),
@@ -605,6 +605,19 @@ class TestNonFiniteOutput:
         with np.errstate(all="ignore"):
             assert run(argv) == cli.EXIT_NUMERICAL == 5
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_huge_finite_transform_prints_without_warning(self, capsys):
+        # the quadrature route weights each ring sum before a coefficient
+        # multiplies it, so a value near the top of the range stays finite
+        argv = ["berezin", "--symbol", "2,4:-1e308;1,5:3", "--z", "0.3+0.4i", "--route"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["quadrature"]) == 0
+            quadrature = json.loads(capsys.readouterr().out)
+            assert run(argv + ["series"]) == 0
+            series = json.loads(capsys.readouterr().out)
+        assert quadrature["results"][0]["values"]["quadrature"] == \
+            series["results"][0]["values"]["series"] == [4.47292900465e+306, 1.53357565874e+307]
 
     def test_non_finite_matrix_entry_writes_nothing(self, capsys):
         m = np.eye(3, dtype=complex)

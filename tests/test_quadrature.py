@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,17 @@ class TestBuildRule:
         assert np.sum(default_rule.weights) == pytest.approx(1.0, abs=1e-14)
 
     def test_total_mass(self, default_rule):
-        assert default_rule.integrate(lambda w: np.ones_like(w)) == pytest.approx(1.0)
+        assert default_rule.integrate(np.ones_like(default_rule.nodes)) == pytest.approx(1.0)
 
     def test_quadratic_moment(self, default_rule):
-        got = default_rule.integrate(lambda w: np.abs(w) ** 2)
+        got = default_rule.integrate(np.abs(default_rule.nodes) ** 2)
         assert got == pytest.approx(0.5, abs=1e-13)
 
     def test_quartic_and_mixed_moments(self, default_rule):
-        quartic = default_rule.integrate(lambda w: w ** 2 * np.conj(w) ** 2)
+        w = default_rule.nodes
+        quartic = default_rule.integrate(w ** 2 * np.conj(w) ** 2)
         assert quartic == pytest.approx(1.0 / 3.0, abs=1e-13)
-        mixed = default_rule.integrate(lambda w: w * np.conj(w) ** 2)
+        mixed = default_rule.integrate(w * np.conj(w) ** 2)
         assert mixed == pytest.approx(0.0, abs=1e-13)
 
     def test_rejects_bad_sizes(self):
@@ -53,18 +56,25 @@ class TestBuildRule:
 
 class TestIntegrate:
     def test_scalar_only_evaluator_raises(self, default_rule):
-        # complex() rejects the node array; no point-by-point retry hides it
-        with pytest.raises(TypeError):
+        # integrate takes node values; an evaluator is not called
+        with pytest.raises(ValueError, match=r"\(\).*\(20480,\)"):
             default_rule.integrate(lambda w: abs(complex(w)) ** 2)
 
     def test_wrong_shape_evaluator_raises(self, default_rule):
-        # a callable sees slices of BLOCK_NODES nodes, an array all of them
-        with pytest.raises(ValueError, match=r"\(2, 2048\).*\(4096,\)"):
-            default_rule.integrate(lambda w: np.abs(w.reshape(2, -1)) ** 2)
-        with pytest.raises(ValueError, match=r"\(\).*\(4096,\)"):
-            default_rule.integrate(lambda w: 0.5)
+        with pytest.raises(ValueError, match=r"\(2, 10240\).*\(20480,\)"):
+            default_rule.integrate(np.abs(default_rule.nodes.reshape(2, -1)) ** 2)
+        with pytest.raises(ValueError, match=r"\(\).*\(20480,\)"):
+            default_rule.integrate(0.5)
         with pytest.raises(ValueError, match=r"\(80, 256\).*\(20480,\)"):
             default_rule.integrate(np.abs(default_rule.node_grid()) ** 2)
+
+    @pytest.mark.parametrize("shape", [(80, 256), (160, 512)])
+    def test_sum_is_pairwise(self, shape):
+        # the weights' exact sum is 1 on both rules, where a BLAS dot with
+        # complex ones reads 1 + 1.2e-14 and 1 + 2.5e-14 (one thread)
+        rule = build_rule(*shape)
+        assert math.fsum(rule.weights) == 1.0
+        assert rule.integrate(np.ones(rule.nodes.shape)) == 1.0
 
     def test_accepts_precomputed_values(self, default_rule):
         values = np.abs(default_rule.nodes) ** 2
@@ -79,9 +89,10 @@ class TestIntegrate:
 class TestMomentFidelity:
     def test_rule_moment_matches_grid_evaluation(self, default_rule):
         rng = np.random.default_rng(8)
+        w = default_rule.nodes
         for _ in range(10):
             a, b = int(rng.integers(0, 20)), int(rng.integers(0, 20))
-            grid_val = default_rule.integrate(lambda w: w ** a * np.conj(w) ** b)
+            grid_val = default_rule.integrate(w ** a * np.conj(w) ** b)
             assert default_rule.rule_moment(a, b) == pytest.approx(grid_val, abs=1e-14)
 
     def test_doubling_stability(self, default_rule):
@@ -94,7 +105,8 @@ class TestMomentFidelity:
                 for k in range(5):
                     total = total + coeffs[j, k] * w ** j * np.conj(w) ** k
             return total
-        assert abs(default_rule.integrate(f) - doubled.integrate(f)) < 1e-10
+        got = default_rule.integrate(f(default_rule.nodes))
+        assert abs(got - doubled.integrate(f(doubled.nodes))) < 1e-10
 
 
 class TestInsufficiencyWarning:

@@ -16,7 +16,8 @@ and the commutator's derivative profile on the ray at angle 0.3 out to
 the quadrature Toeplitz builder with other inputs, one of them on a
 grid of one full node slice and a ragged tail, a ``U_z`` dump near the
 origin whose entries fall to about 1e-150, input errors of every
-command, each of which writes one ``error:`` line and exits 2, and two
+command, each of which writes one ``error:`` line and exits 2, a
+quadrature transform near 1e307 from coefficients of 1e308, and two
 finite symbols whose transforms overflow, which exit 5.
 No command writes a path of TREE, but a numpy RuntimeWarning names its
 source file and line, so stderr has TREE replaced by ``TREE`` and each
@@ -79,8 +80,10 @@ EXTRA = [
     ["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
     ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e400"],
     ["toeplitz", "--symbol", "1,1:1e400", "--trunc", "8"],
-    # finite symbols whose transforms overflow: exit 5, nothing on stdout
+    # a finite transform near the top of the range
     ["berezin", "--symbol", "2,4:-1e308;1,5:3", "--z", "0.3+0.4i", "--route", "quadrature"],
+    # finite symbols whose transforms overflow: exit 5, nothing on stdout
+    ["berezin", "--symbol", "0,0:1.5e308;1,1:1.5e308", "--z", "0.5", "--route", "quadrature"],
     ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
      "--kmax", "3", "--format", "csv"],
 ]
