@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -382,6 +383,16 @@ CONFIG_KEYS = {"trunc": "truncation", "nr": "n_radial", "ntheta": "n_angular",
                "strict": "strict", "format": "format"}
 
 
+class _BatteryNames:
+    """The registered battery names, looked up when parsed and listed sorted."""
+
+    def __contains__(self, name) -> bool:
+        return name in BATTERIES
+
+    def __iter__(self):
+        return iter(sorted(BATTERIES))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berezinlab",
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("identity-suite", cmd_identity_suite, "out format",
                 help="run the invariant batteries and report pass/fail")
-    p.add_argument("--only", default=None, choices=sorted(BATTERIES),
+    p.add_argument("--only", default=None, choices=_BatteryNames(),
                    metavar="BATTERY", help="run a single battery")
 
     p = command("commutator", cmd_commutator, "out format trunc strict",
@@ -443,9 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_matrix_budget(args)
         return args.func(args)

@@ -47,13 +47,15 @@ class DiskQuadrature:
     """Tensor-product node/weight rule for normalized area integrals on D.
 
     radial_r / radial_w hold the radii sqrt(t_i) and Gauss-Legendre
-    weights for t in [0, 1]; the angular factor is n_angular equispaced
-    points each of weight 1/n_angular.
+    weights for t in [0, 1]; the angular factor is the n_angular
+    equispaced points of ``ring`` on the unit circle, each of weight
+    1/n_angular.
     """
 
     radial_r: np.ndarray
     radial_w: np.ndarray
     n_angular: int
+    ring: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
@@ -62,6 +64,7 @@ class DiskQuadrature:
         ring = np.exp(1j * theta)
         nodes = np.multiply.outer(self.radial_r, ring).ravel()
         weights = np.repeat(self.radial_w / self.n_angular, self.n_angular)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -84,6 +87,19 @@ class DiskQuadrature:
                              f" shape {self.nodes.shape}")
         return complex(np.sum(self.weights * values))
 
+    def radial_moments(self, top: int) -> np.ndarray:
+        """R[s] = sum_i radial_w_i radial_r_i^s for s = 0 .. top.
+
+        The weighted powers are running products down the exponent axis
+        (np.cumprod), never a power call, and each R[s] is the pairwise
+        np.sum of one contiguous row, so the bits depend on neither the
+        host's power routine nor the BLAS build.
+        """
+        powers = np.empty((top + 1, self.radial_r.size))
+        powers[0] = self.radial_w
+        powers[1:] = self.radial_r
+        return np.cumprod(powers, axis=0).sum(axis=1)
+
     def rule_moment(self, a: int, b: int) -> complex:
         """The rule's value on w^a conj(w)^b, by the tensor structure.
 
@@ -92,7 +108,7 @@ class DiskQuadrature:
         """
         if (a - b) % self.n_angular != 0:
             return 0j
-        return complex(np.dot(self.radial_w, self.radial_r ** (a + b)))
+        return complex(self.radial_moments(a + b)[-1])
 
 
 def build_rule(n_radial: int = DEFAULT_N_RADIAL,

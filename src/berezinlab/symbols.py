@@ -233,8 +233,8 @@ class MonomialSymbol:
         zv = disk_value(z)
         return lambda w: self._evaluate_by_slices(w, zv)
 
-    def weighted_sum(self, nodes: np.ndarray, weights: np.ndarray, z=None) -> complex:
-        """sum_n weights_n u(x_n), x = phi_z(nodes), or the nodes when z is None.
+    def weighted_sum(self, nodes: np.ndarray, weights: np.ndarray, z) -> complex:
+        """sum_n weights_n u(x_n) with x = phi_z(nodes).
 
         No node value of u is formed.  Each slice of the 1-d ``nodes`` gets
         one table of the powers x^1 .. x^top, and a term c w^j conj(w)^k
@@ -245,7 +245,7 @@ class MonomialSymbol:
         """
         if not self._coeffs:
             return 0j
-        zv = None if z is None else disk_value(z)
+        zv = disk_value(z)
         by_j = {}
         for (j, k), c in self._coeffs.items():
             by_j.setdefault(j, []).append((k, c))
@@ -261,13 +261,10 @@ class MonomialSymbol:
             omega[:] = weights[start:start + n]
             if top:
                 x = table[0]
-                if zv is None:
-                    x[:] = w
-                else:
-                    np.multiply(w, zv.conjugate(), out=scaled)
-                    np.subtract(1.0, scaled, out=scaled)
-                    np.subtract(zv, w, out=x)
-                    x /= scaled
+                np.multiply(w, zv.conjugate(), out=scaled)
+                np.subtract(1.0, scaled, out=scaled)
+                np.subtract(zv, w, out=x)
+                x /= scaled
                 for p in range(1, top):
                     np.multiply(table[p - 1], x, out=table[p])
             for j, terms in by_j.items():

@@ -318,10 +318,28 @@ class TestIdentitySuite:
         payload = read_json(out)
         assert payload["results"][0]["passed"] is False
 
-    def test_unknown_battery_is_usage_error(self):
+    def test_unknown_battery_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["identity-suite", "--only", "bogus"])
         assert err.value.code == 2
+        message = capsys.readouterr().err
+        places = [message.index(name) for name in sorted(cli.BATTERIES)]
+        assert places == sorted(places)
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(["uz", "--z", "0.25", "--trunc", "2"]) == 0
+            assert len(built) == 1
+            assert capsys.readouterr().out.count('"dim": 2') == 3
+        finally:
+            cli._parser.cache_clear()
 
 
 class TestCommutatorCommand:

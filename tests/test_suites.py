@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from berezinlab.quadrature import build_rule
 from berezinlab.suites import (BATTERIES, composed_block, measured_moment_table,
                                random_symbol, run_batteries, sample_points)
 from berezinlab.symbols import MonomialSymbol
@@ -23,12 +25,18 @@ def test_only_filter_runs_single_battery():
     assert results[0].passed
 
 
-def moment_table_whole_array(rule, degree):
-    """Reference: the Gram matrix of the full power table against the weights."""
+def node_powers(rule, degree):
+    """The powers w^0 .. w^degree of every node, by running products."""
     powers = np.empty((degree + 1, rule.nodes.size), dtype=complex)
     powers[0] = 1.0
     for a in range(1, degree + 1):
         powers[a] = powers[a - 1] * rule.nodes
+    return powers
+
+
+def moment_table_whole_array(rule, degree):
+    """Reference: the Gram matrix of the full power table against the weights."""
+    powers = node_powers(rule, degree)
     return (powers * rule.weights) @ powers.conj().T
 
 
@@ -48,10 +56,54 @@ def test_moment_table_matches_whole_array_gram(default_rule):
     assert np.max(np.abs(got - moment_table_whole_array(default_rule, 40))) <= 1e-15
 
 
+def exact_row_sums(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of a real array, exact to about 2^-88 of its largest entry.
+
+    Three times over, each row splits exactly into its part on the grid of
+    ulp(sigma), sigma a power of two above n max|row|, and the rest.  No
+    partial sum of grid parts rounds, so np.sum adds them exactly, and the
+    rest shrinks by 2^-35 or more each time.  math.fsum adds the three
+    exact sums and the rest's pairwise sum.  math.fsum on the values
+    themselves would take some 300 ns a value on rows that cancel.
+    """
+    pieces = []
+    rest = values
+    for _ in range(3):
+        _, exponent = np.frexp(np.max(np.abs(rest), axis=-1, keepdims=True))
+        sigma = np.ldexp(1.0, exponent + values.shape[-1].bit_length())
+        grid = (sigma + rest) - sigma
+        pieces.append(np.sum(grid, axis=-1))
+        rest = rest - grid
+    pieces.append(np.sum(rest, axis=-1))
+    return np.array([math.fsum(row) for row in zip(*pieces)])
+
+
+@pytest.mark.parametrize("shape,degree", [((80, 256), 40), ((160, 512), 12)])
+def test_moment_table_matches_exact_node_sums(shape, degree):
+    rule = build_rule(*shape)
+    powers = node_powers(rule, degree)
+    conj = powers.conj()
+    got = measured_moment_table(rule, degree)
+    assert got.shape == (degree + 1, degree + 1)
+    assert np.array_equal(got, got.conj().T)
+    for a in range(degree + 1):
+        # every node's weights w^a conj(w)^b, for b <= a
+        terms = rule.weights * powers[a] * conj[:a + 1]
+        want = exact_row_sums(terms.real) + 1j * exact_row_sums(terms.imag)
+        assert np.max(np.abs(got[a, :a + 1] - want)) <= 1e-15
+        if a in (0, 1, degree):
+            # the corners against math.fsum of the node values themselves
+            for b in {0, min(1, a), a}:
+                fsum = complex(math.fsum(terms[b].real.tolist()),
+                               math.fsum(terms[b].imag.tolist()))
+                assert want[b] == fsum
+
+
 def test_moment_oracle_residual_unchanged():
-    # the value the report prints, as the whole-array table gave it
+    # the value the report prints from the factored table; it calls no BLAS
+    # routine, so the value holds under every OpenBLAS kernel and thread count
     residual = run_batteries(only="moment-oracle")[0].max_residual
-    assert float(f"{residual:.12g}") == 2.22044604925e-16
+    assert float(f"{residual:.12g}") == 9.89007755524e-17
 
 
 def test_moment_table_memory_stays_small(default_rule):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezinlab.quadrature import build_rule
+from berezinlab.suites import measured_moment_table, table_sum
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product,
                                 format_complex, parse_blaschke_zeros,
@@ -268,22 +269,27 @@ def _horner_sum(u, nodes, weights, z=None):
 
 
 class TestWeightedSum:
-    """The power-table sum against Horner node values and exact rule moments."""
+    """The power-table sum against Horner node values, and the plain rule sum
+    read from the moment table against Horner node values and exact rule moments."""
 
-    POINTS = (None, 0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j))
+    POINTS = (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j))
 
     @staticmethod
     def _assert_close(got, want):
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_empty_symbol_is_zero(self, default_rule):
-        for z in (None, 0.5j):
-            got = MonomialSymbol({}).weighted_sum(default_rule.nodes, default_rule.weights, z)
+        empty = MonomialSymbol({})
+        for got in (empty.weighted_sum(default_rule.nodes, default_rule.weights, 0.5j),
+                    table_sum(empty, measured_moment_table(default_rule, 0))):
             assert type(got) is complex and got == 0j
 
     def test_constant(self, default_rule):
         u = MonomialSymbol.constant(2.5 - 1j)
         nodes, weights = default_rule.nodes, default_rule.weights
+        plain = table_sum(u, measured_moment_table(default_rule, 0))
+        self._assert_close(plain, _horner_sum(u, nodes, weights))
+        self._assert_close(plain, (2.5 - 1j) * math.fsum(weights))
         for z in self.POINTS:
             got = u.weighted_sum(nodes, weights, z)
             self._assert_close(got, _horner_sum(u, nodes, weights, z))
@@ -298,7 +304,10 @@ class TestWeightedSum:
         symbols = [_random_symbol(rng, max_degree=d, n_terms=8) for d in (6, 6, 12, 12)]
         symbols.append(MonomialSymbol({(12, 0): 1.0, (3, 8): 0.5j, (0, 9): -0.25,
                                        (0, 0): 1.0}))
+        table = measured_moment_table(rule, 12)
         for u in symbols:
+            self._assert_close(table_sum(u, table),
+                               _horner_sum(u, rule.nodes, rule.weights))
             for z in self.POINTS:
                 self._assert_close(u.weighted_sum(rule.nodes, rule.weights, z),
                                    _horner_sum(u, rule.nodes, rule.weights, z))
@@ -307,10 +316,13 @@ class TestWeightedSum:
     def test_plain_sum_matches_rule_moments(self, shape):
         rule = build_rule(*shape)
         rng = np.random.default_rng(45)
+        table = measured_moment_table(rule, 12)
         for _ in range(6):
             u = _random_symbol(rng, max_degree=12, n_terms=8)
             exact = sum(c * rule.rule_moment(j, k) for (j, k), c in u.coeffs.items())
-            self._assert_close(u.weighted_sum(rule.nodes, rule.weights), exact)
+            got = table_sum(u, table)
+            self._assert_close(got, exact)
+            self._assert_close(got, _horner_sum(u, rule.nodes, rule.weights))
 
     def test_harmonic_defect_weights(self, default_rule):
         nodes = default_rule.nodes
@@ -318,7 +330,7 @@ class TestWeightedSum:
         rng = np.random.default_rng(46)
         for _ in range(4):
             u = _random_symbol(rng, max_degree=6, n_terms=8)
-            for z in self.POINTS[1:]:
+            for z in self.POINTS:
                 self._assert_close(u.weighted_sum(nodes, weights, z),
                                    _horner_sum(u, nodes, weights, z))
 
