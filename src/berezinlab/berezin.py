@@ -12,11 +12,10 @@ Five routes to the same number:
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
-  aliasing estimate stays within RELIABILITY_TOL.  For a polynomial
-  symbol each ring's angular sum of the density, aliases included, is a
-  closed form in the density's Fourier coefficients, so no node is
-  visited; node values meet the density on the nodes, a real grid
-  formed without cancellation, and the two share no code;
+  aliasing estimate stays within RELIABILITY_TOL.  The symbol is a
+  polynomial, so each ring's angular sum of the density, aliases
+  included, is a closed form in the density's Fourier coefficients and
+  no node is visited;
 * mean-value route: u~(z) = integral of u o phi_z dA, summed term by
   term from one table of powers of phi_z per slice of the rule's nodes,
   with no node values of u formed.
@@ -219,28 +218,6 @@ def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
     return ""
 
 
-def _kernel_density_grid(z, rule: DiskQuadrature) -> np.ndarray:
-    """|k_z|^2 on the rule's nodes as a real (n_radial, n_angular) grid.
-
-    With s = r|z| the denominator is formed as
-    |1 - conj(z) r e^{i theta}|^2 = (1 - s)^2 + 4 s sin^2((theta - arg z)/2),
-    and 1 - s as (1 - r) + r (1 - |z|^2) / (1 + |z|): no term cancels,
-    where 1 + s^2 - 2 s cos(theta - arg z) loses digits next to the rim.
-    """
-    zv = disk_value(z)
-    rho, rim = abs(zv), disk_gap(zv)
-    r = rule.radial_r
-    s = r * rho
-    gap = (1.0 - r) + r * (rim / (1.0 + rho))
-    # (theta - arg z) / 2 in units of pi, reduced to [-1/2, 1/2]
-    turns = np.arange(rule.n_angular) / rule.n_angular - np.angle(zv) / (2.0 * np.pi)
-    turns -= np.round(turns)
-    grid = np.multiply.outer(4.0 * s, np.sin(np.pi * turns) ** 2)
-    grid += (gap * gap)[:, None]
-    grid *= grid
-    return np.divide(rim * rim, grid, out=grid)
-
-
 def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
     """w_i (1/n) sum_l |k_z(r_i e^{i theta_l})|^2 e^{i d theta_l} in closed form.
 
@@ -250,10 +227,11 @@ def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
     m >= 0 and conj(c_{-m}) below; the trapezoid sum keeps the c_m with
     m = -d mod n, two geometric-arithmetic series in A = a^n, which
     start at m+ = -d mod n and at M = n - m+.  1 - t is (1 - s)(1 + s),
-    s = r|z|, with 1 - s as in _kernel_density_grid, and a^m is
-    s^m u^m, u = conj(z)/|z|, with u's powers as running products (exact
-    on the axes).  The weight, gap^2 and 1/(1-t)^3 are folded in first,
-    so a row is O(1) wherever the density is.
+    s = r|z|, and 1 - s as (1 - r) + r (1 - |z|^2) / (1 + |z|), which
+    does not cancel next to the rim; a^m is s^m u^m, u = conj(z)/|z|,
+    with u's powers as running products (exact on the axes).  The
+    weight, gap^2 and 1/(1-t)^3 are folded in first, so a row is O(1)
+    wherever the density is.
     """
     zv = disk_value(z)
     rho, rim = abs(zv), disk_gap(zv)
@@ -274,14 +252,18 @@ def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
     return series[:len(freqs)] + series[len(freqs):].conj()
 
 
-def _contract_by_ring_sums(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
-    """The rule's sum of u |k_z|^2 from the density's ring sums, no nodes visited.
+def berezin_symbol_quadrature(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
+    """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule, no nodes visited.
 
-    Term c w^j conj(w)^k contributes c sum_i r_i^{j+k} times the ring sum
-    at frequency d = j - k (_ring_sums), aliases at |d| >= n_angular
+    ``u`` is a polynomial symbol; anything else raises TypeError.  Term
+    c w^j conj(w)^k contributes c sum_i r_i^{j+k} times the ring sum at
+    frequency d = j - k (_ring_sums), aliases at |d| >= n_angular
     included.  Each term's radial sum is formed before its coefficient
-    multiplies it, and the sums are pairwise, in an order numpy fixes.
+    multiplies it, and the sums are pairwise, in an order numpy fixes;
+    no BLAS routine is called.
     """
+    if not isinstance(u, MonomialSymbol):
+        raise TypeError(f"expected a MonomialSymbol, got {type(u).__name__}")
     coeffs = u.coeffs
     if not coeffs:
         return 0j
@@ -294,26 +276,6 @@ def _contract_by_ring_sums(u: MonomialSymbol, z, rule: DiskQuadrature) -> comple
     rows *= np.power(rule.radial_r, powers[:, None])
     values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
     return complex((values * rows.sum(axis=1)).sum())
-
-
-def berezin_symbol_quadrature(u, z, rule: DiskQuadrature) -> complex:
-    """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule.
-
-    ``u`` is a polynomial symbol, summed ring by ring in closed form
-    (_contract_by_ring_sums), or an array of its values on ``rule.nodes``
-    (handy when many z share one symbol), met with the weighted density
-    grid in one pairwise sum; anything else raises TypeError.  The
-    branches share no code, so each checks the other, and neither calls
-    BLAS.
-    """
-    if isinstance(u, MonomialSymbol):
-        return _contract_by_ring_sums(u, z, rule)
-    if not (isinstance(u, np.ndarray) and u.shape == rule.nodes.shape):
-        raise TypeError(f"expected a MonomialSymbol or an array of {rule.nodes.size}"
-                        f" node values, got {type(u).__name__}")
-    density = _kernel_density_grid(z, rule)
-    density *= (rule.radial_w / rule.n_angular)[:, None]
-    return complex(np.sum(u * density.ravel()))
 
 
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:

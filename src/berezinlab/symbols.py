@@ -226,12 +226,36 @@ class MonomialSymbol:
         flattened input at a time into one output array; ``w`` is never
         written to.
         """
-        return self._evaluate_by_slices(w, None)
+        w = np.asarray(w, dtype=complex)
+        out = np.empty(w.shape, dtype=complex)
+        flat_w, flat_out = w.reshape(-1), out.reshape(-1)
+        rows = {}
+        for (j, k), c in self._coeffs.items():
+            rows.setdefault(k, {})[j] = c
+        acc_buf, wbar_buf = np.empty((2, min(flat_w.size, BLOCK_NODES)), dtype=complex)
+        for start in range(0, flat_w.size, BLOCK_NODES):
+            x = flat_w[start:start + BLOCK_NODES]
+            total, acc = flat_out[start:start + len(x)], acc_buf[:len(x)]
+            wbar = np.conjugate(x, out=wbar_buf[:len(x)])
+            total.fill(0.0)
+            for k in range(self.deg_zbar, -1, -1):
+                row = rows.get(k)
+                if row:
+                    top = max(row)
+                    acc.fill(row[top])
+                    for j in range(top - 1, -1, -1):
+                        acc *= x
+                        if j in row:
+                            acc += row[j]
+                    total += acc
+                if k:
+                    total *= wbar
+        return out
 
     def compose_mobius_evaluator(self, z):
-        """Vectorized evaluator for u(phi_z(.)), phi_z applied slice by slice."""
+        """Vectorized evaluator for u(phi_z(.))."""
         zv = disk_value(z)
-        return lambda w: self._evaluate_by_slices(w, zv)
+        return lambda w: self.evaluate_array((zv - w) / (1.0 - zv.conjugate() * w))
 
     def weighted_sum(self, nodes: np.ndarray, weights: np.ndarray, z) -> complex:
         """sum_n weights_n u(x_n) with x = phi_z(nodes).
@@ -272,36 +296,6 @@ class MonomialSymbol:
                 for k, c in terms:
                     total += c * (np.sum(row) if k == 0 else np.vdot(table[k - 1], row))
         return complex(total)
-
-    def _evaluate_by_slices(self, w, zv) -> np.ndarray:
-        """u, or u o phi_zv unless zv is None, at every entry of ``w``."""
-        w = np.asarray(w, dtype=complex)
-        out = np.empty(w.shape, dtype=complex)
-        flat_w, flat_out = w.reshape(-1), out.reshape(-1)
-        rows = {}
-        for (j, k), c in self._coeffs.items():
-            rows.setdefault(k, {})[j] = c
-        acc_buf, wbar_buf = np.empty((2, min(flat_w.size, BLOCK_NODES)), dtype=complex)
-        for start in range(0, flat_w.size, BLOCK_NODES):
-            x = flat_w[start:start + BLOCK_NODES]
-            if zv is not None:
-                x = (zv - x) / (1.0 - zv.conjugate() * x)
-            total, acc = flat_out[start:start + len(x)], acc_buf[:len(x)]
-            wbar = np.conjugate(x, out=wbar_buf[:len(x)])
-            total.fill(0.0)
-            for k in range(self.deg_zbar, -1, -1):
-                row = rows.get(k)
-                if row:
-                    top = max(row)
-                    acc.fill(row[top])
-                    for j in range(top - 1, -1, -1):
-                        acc *= x
-                        if j in row:
-                            acc += row[j]
-                    total += acc
-                if k:
-                    total *= wbar
-        return out
 
 
 def nearly_zero(sym: MonomialSymbol, scale: float) -> bool:

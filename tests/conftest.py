@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from berezinlab.diskgeom import disk_value
+from berezinlab.diskgeom import disk_gap, disk_value
 from berezinlab.quadrature import build_rule
 
 
@@ -25,3 +26,39 @@ def laplacian_fd(fieldfn, z) -> complex:
     h = 1e-3 * (1.0 - abs(zv))
     vals = [complex(fieldfn(zv + step)) for step in (h, -h, 1j * h, -1j * h)]
     return (sum(vals) - 4.0 * complex(fieldfn(zv))) / h ** 2
+
+
+def kernel_density_grid(z, rule) -> np.ndarray:
+    """|k_z|^2 on the rule's nodes as a real (n_radial, n_angular) grid.
+
+    The tests' node-by-node reference for the quadrature route, which
+    sums each ring in closed form and visits no node.  With s = r|z| the
+    denominator is formed as
+    |1 - conj(z) r e^{i theta}|^2 = (1 - s)^2 + 4 s sin^2((theta - arg z)/2),
+    and 1 - s as (1 - r) + r (1 - |z|^2) / (1 + |z|): no term cancels,
+    where 1 + s^2 - 2 s cos(theta - arg z) loses digits next to the rim.
+    """
+    zv = disk_value(z)
+    rho, rim = abs(zv), disk_gap(zv)
+    r = rule.radial_r
+    s = r * rho
+    gap = (1.0 - r) + r * (rim / (1.0 + rho))
+    # (theta - arg z) / 2 in units of pi, reduced to [-1/2, 1/2]
+    turns = np.arange(rule.n_angular) / rule.n_angular - np.angle(zv) / (2.0 * np.pi)
+    turns -= np.round(turns)
+    grid = np.multiply.outer(4.0 * s, np.sin(np.pi * turns) ** 2)
+    grid += (gap * gap)[:, None]
+    grid *= grid
+    return np.divide(rim * rim, grid, out=grid)
+
+
+def node_value_transform(values, z, rule) -> complex:
+    """The rule's sum of u |k_z|^2 from ``values``, u on ``rule.nodes``.
+
+    The weights are folded into the density grid and the products summed
+    in one pairwise np.sum, with no BLAS routine; this also takes node
+    values of inputs that are not polynomials.
+    """
+    density = kernel_density_grid(z, rule)
+    density *= (rule.radial_w / rule.n_angular)[:, None]
+    return complex(np.sum(values * density.ravel()))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from berezinlab import operators
-from berezinlab.berezin import (berezin_operator, berezin_symbol_quadrature,
-                                kernel_coefficients)
+from berezinlab.berezin import berezin_operator, kernel_coefficients
 from berezinlab.operators import (TruncatedOperator, analytic_commutator_defect,
                                   covariant_toeplitz, semicommutator_defect,
                                   toeplitz_exact, toeplitz_quadrature, unitary_uz)
 from berezinlab.quadrature import build_rule, monomial_moment
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
+from conftest import node_value_transform
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -464,7 +464,7 @@ class TestAnalyticCommutatorDefect:
         nodes = default_rule.nodes
         product = np.conj(f.evaluate_array(nodes)) * g.evaluate_array(nodes)
         for z in (0.0, 0.3, 0.45 - 0.2j, 0.6j, -0.42 - 0.42j):
-            want = (berezin_symbol_quadrature(product, z, default_rule)
+            want = (node_value_transform(product, z, default_rule)
                     - np.conj(f.evaluate(z)) * g.evaluate(z))
             assert abs(berezin_operator(defect, z) - want) < 1e-12
 
