@@ -39,11 +39,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .diskgeom import disk_gap, disk_value, mobius_eval
+from .diskgeom import _gap, disk_gap, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
-from .quadrature import (DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL, DiskQuadrature,
-                         build_rule, monomial_moment)
+from .quadrature import (BLOCK_NODES, DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL,
+                         DiskQuadrature, build_rule, monomial_moment)
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
@@ -53,6 +53,8 @@ SERIES_TOL = 1e-12
 RELIABILITY_TOL = 1e-6
 # Final-sample magnitude below which both commutator profiles count as decayed.
 DECAY_THRESHOLD = 1e-3
+# Entries per temporary of a transform route batched over points, as in weighted_sum.
+CHUNK_ENTRIES = 8 * BLOCK_NODES
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,84 @@ def cached_rule(n_radial: int, n_angular: int) -> DiskQuadrature:
 
 
 # ---------------------------------------------------------------------------
+# points: one, or a 1-d array of them
+# ---------------------------------------------------------------------------
+
+# Python's number types first, so the one-point test costs a route almost nothing.
+_NUMBERS = (complex, float, int, np.generic)
+
+
+def _disk_points(z):
+    """disk_value(z) and disk_gap(z) of one point, or (P,) arrays of both.
+
+    A number, or anything numpy reads as a 0-d array, is one point and
+    gives Python numbers.  A 1-d array is checked point by point by the
+    same calls, so its entries carry the one-point bits; any point
+    outside the disk raises DiskDomainError.
+    """
+    if not isinstance(z, _NUMBERS):
+        points = np.asarray(z)
+        if points.ndim == 1:
+            zv = [disk_value(p) for p in points.tolist()]
+            return np.array(zv, dtype=complex), np.array([_gap(v) for v in zv], dtype=float)
+        if points.ndim:
+            raise ValueError(f"z must be one point or a 1-d array of points, got shape {points.shape}")
+    zv = disk_value(z)
+    return zv, _gap(zv)
+
+
+def _by_chunks(route, zv: np.ndarray, gap: np.ndarray, width: int) -> np.ndarray:
+    """route(zv, gap) over slices of the (P,) arrays, as one complex array.
+
+    A slice has at most max(1, CHUNK_ENTRIES // width) points, so a route
+    whose temporaries hold width entries per point keeps each within
+    CHUNK_ENTRIES.  Routes treat their points independently, so no value
+    depends on the chunking.
+    """
+    out = np.empty(len(zv), dtype=complex)
+    step = max(1, CHUNK_ENTRIES // max(width, 1))
+    for start in range(0, len(zv), step):
+        chunk = slice(start, start + step)
+        out[chunk] = route(zv[chunk], gap[chunk])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # operator route
 # ---------------------------------------------------------------------------
 
-def kernel_coefficients(z, dim: int) -> np.ndarray:
-    """Orthonormal-basis coefficients of the normalized kernel k_z."""
-    zv = disk_value(z)
+def _kernel_rows(zv, gap, dim: int) -> np.ndarray:
+    """k_z's coefficients in one expression: a row, or a row per point of (P,) arrays."""
+    if isinstance(zv, np.ndarray):
+        zv, gap = zv[:, None], gap[:, None]
     n = np.arange(dim)
-    return disk_gap(zv) * np.sqrt(n + 1.0) * zv.conjugate() ** n
+    return gap * np.sqrt(n + 1.0) * zv.conjugate() ** n
 
 
-def berezin_operator(op: TruncatedOperator, z) -> complex:
-    """<S k_z, k_z> for a truncated S, exact on the retained modes."""
-    c = kernel_coefficients(z, op.dim)
+def kernel_coefficients(z, dim: int) -> np.ndarray:
+    """Orthonormal-basis coefficients of the normalized kernel k_z.
+
+    dim entries for one point; for a 1-d array of P points a (P, dim)
+    array whose row i is bitwise the one-point row of point i.
+    """
+    return _kernel_rows(*_disk_points(z), dim)
+
+
+def berezin_operator(op: TruncatedOperator, z):
+    """<S k_z, k_z> for a truncated S, exact on the retained modes.
+
+    A complex for one point, a complex array for a 1-d array of points.
+    The kernel rows of a chunk of points come from one expression, but
+    each point keeps its own ``op.matrix @ c`` and ``np.vdot``, so every
+    entry is bitwise its one-point value; one batched BLAS product would
+    sum in another order.
+    """
+    zv, gap = _disk_points(z)
+    if isinstance(zv, np.ndarray):
+        return _by_chunks(lambda zv, gap: [np.vdot(c, op.matrix @ c)
+                                           for c in _kernel_rows(zv, gap, op.dim)],
+                          zv, gap, op.dim)
+    c = _kernel_rows(zv, gap, op.dim)
     return complex(np.vdot(c, op.matrix @ c))
 
 
@@ -111,39 +178,74 @@ def operator_flag(dim: int, z) -> str:
 # series route
 # ---------------------------------------------------------------------------
 
-def berezin_symbol_series(u: MonomialSymbol, z) -> complex:
+def berezin_symbol_series(u: MonomialSymbol, z):
     """Berezin transform of a polynomial symbol by its power series.
 
     Linear over the symbol's terms.  How many terms are summed depends
     only on t = |z|^2, so all monomial series share one table: block by
     block, a (terms x 512) array of (m+1)(m+d+1) t^m / (max(j, k)+m+1),
     d = |j - k|, is summed along its rows, until the remaining geometric
-    tail is below SERIES_TOL, or fails after SERIES_MAX_TERMS terms.
-    Each sum then gets its term's (1-t)^2 z^d, conjugated when j < k.
+    tail is below SERIES_TOL, or fails after SERIES_MAX_TERMS terms
+    (_series_block_count).  Each sum then gets its term's (1-t)^2 z^d,
+    conjugated when j < k.
+
+    A complex for one point, a complex array for a 1-d array of points.
+    The points of a chunk share each block's table, a (points x terms x
+    512) array, and each point sums its own count of blocks, so every
+    entry is bitwise its one-point value.
     """
-    zv = disk_value(z)
-    t, gap = abs(zv) ** 2, disk_gap(zv)
+    zv, gap = _disk_points(z)
     coeffs = u.coeffs
     if not coeffs:
-        return 0j
+        return np.zeros(len(zv), dtype=complex) if isinstance(zv, np.ndarray) else 0j
     d = np.array([abs(j - k) for j, k in coeffs], dtype=float)[:, None]
     top = np.array([max(j, k) for j, k in coeffs], dtype=float)[:, None]
+
+    if isinstance(zv, np.ndarray):
+        def route(zv, gap):
+            zs = zv.tolist()
+            t = np.array([abs(v) ** 2 for v in zs])
+            blocks = np.array([_series_block_count(x) for x in t.tolist()])
+            acc = np.zeros((len(zs), len(coeffs)))
+            for block in range(blocks.max()):
+                live = blocks > block
+                acc[live] += _series_block_sums(t[live][:, None, None], 512 * block, d, top)
+            return [_series_total(coeffs, v, g, sums)
+                    for v, g, sums in zip(zs, gap.tolist(), acc.tolist())]
+        return _by_chunks(route, zv, gap, 512 * len(coeffs))
+    t = abs(zv) ** 2
     acc = np.zeros(len(coeffs))
-    m0 = 0
-    while True:
-        m = np.arange(m0, m0 + 512, dtype=float)
-        acc += np.sum((m + 1.0) * (m + d + 1.0) * t ** m / (top + m + 1.0), axis=1)
-        m0 += 512
-        # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(top+m+1) <= 1
-        if t ** m0 * (m0 * (1.0 - t) + 1.0) < SERIES_TOL:
-            break
+    for block in range(_series_block_count(t)):
+        acc += _series_block_sums(t, 512 * block, d, top)
+    return _series_total(coeffs, zv, gap, acc.tolist())
+
+
+def _series_block_sums(t, m0: int, d: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Row sums of terms m0 .. m0 + 511 of the shared table, per point of t's leading axis."""
+    m = np.arange(m0, m0 + 512, dtype=float)
+    table = (m + 1.0) * (m + d + 1.0) * t ** m
+    table /= top + m + 1.0
+    return np.sum(table, axis=-1)
+
+
+def _series_block_count(t: float) -> int:
+    """How many 512-term blocks the series route sums at t = |z|^2."""
+    m0 = 512
+    # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(top+m+1) <= 1
+    while t ** m0 * (m0 * (1.0 - t) + 1.0) >= SERIES_TOL:
         if m0 >= SERIES_MAX_TERMS:
             raise RuntimeError(
                 f"series route did not reach tol={SERIES_TOL} within {SERIES_MAX_TERMS} terms "
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
+        m0 += 512
+    return m0 // 512
+
+
+def _series_total(coeffs: dict, zv: complex, gap: float, sums: list) -> complex:
+    """sum c (1-t)^2 z^d sums_jk over the terms, conjugated where j < k, at one point."""
     total = 0j
-    for ((j, k), c), sums in zip(coeffs.items(), acc.tolist()):
-        value = gap ** 2 * zv ** abs(j - k) * sums
+    for ((j, k), c), row_sum in zip(coeffs.items(), sums):
+        value = gap ** 2 * zv ** abs(j - k) * row_sum
         total += c * (value.conjugate() if j < k else value)
     return total
 
@@ -218,10 +320,13 @@ def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
     return ""
 
 
-def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
+def _ring_sums(zv, rim, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
     """w_i (1/n) sum_l |k_z(r_i e^{i theta_l})|^2 e^{i d theta_l} in closed form.
 
-    One row per frequency d of ``freqs``, one column per ring i.  On ring
+    One row per frequency d of ``freqs``, one column per ring i, for the
+    point zv with disk gap rim; (P,) arrays of points and gaps add a
+    leading point axis, with each point's entries bitwise its one-point
+    entries.  On ring
     r the density's Fourier coefficients are gap^2 c_m with
     c_m = a^m ((1+t) + m(1-t)) / (1-t)^3, a = conj(z) r, t = |a|^2, for
     m >= 0 and conj(c_{-m}) below; the trapezoid sum keeps the c_m with
@@ -233,26 +338,43 @@ def _ring_sums(z, rule: DiskQuadrature, freqs: np.ndarray) -> np.ndarray:
     weight, gap^2 and 1/(1-t)^3 are folded in first, so a row is O(1)
     wherever the density is.
     """
-    zv = disk_value(z)
-    rho, rim = abs(zv), disk_gap(zv)
     n, r = rule.n_angular, rule.radial_r
+    m_plus = -freqs % n
+    m = np.concatenate((m_plus, n - m_plus))[:, None]
+    if isinstance(zv, np.ndarray):
+        # points on the first axis, frequencies on the second, rings on the last
+        zs = zv.tolist()
+        radii = [abs(v) for v in zs]
+        rho = np.array(radii)[:, None, None]
+        rim = rim[:, None, None]
+        unit = np.empty((len(zs), n + 1), dtype=complex)
+        unit[:, 1:] = np.array([_direction(v, r) for v, r in zip(zs, radii)])[:, None]
+        unit[:, 0] = 1.0
+        phase = np.cumprod(unit, axis=1)
+        turn, phase_m = phase[:, n, None, None], phase[:, m]
+    else:
+        rho = abs(zv)
+        unit = np.full(n + 1, _direction(zv, rho))
+        unit[0] = 1.0
+        phase = np.cumprod(unit)
+        turn, phase_m = phase[n], phase[m]
     s = r * rho
     one_minus_t = ((1.0 - r) + r * (rim / (1.0 + rho))) * (1.0 + s)
-    unit = np.full(n + 1, complex(zv.real / rho, -zv.imag / rho) if rho else 1 + 0j)
-    unit[0] = 1.0
-    phase = np.cumprod(unit)
-    big_a = s ** n * phase[n]
+    big_a = s ** n * turn
     q = 1.0 / (1.0 - big_a)
     scale = rule.radial_w * (rim * rim / one_minus_t ** 3)
     slope = scale * one_minus_t * q
     base = scale * ((1.0 + s * s) * q + n * one_minus_t * big_a * q * q)
-    m_plus = -freqs % n
-    m = np.concatenate((m_plus, n - m_plus))[:, None]
-    series = np.power(s, m) * phase[m] * (base + m * slope)
-    return series[:len(freqs)] + series[len(freqs):].conj()
+    series = np.power(s, m) * phase_m * (base + m * slope)
+    return series[..., :len(freqs), :] + series[..., len(freqs):, :].conj()
 
 
-def berezin_symbol_quadrature(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
+def _direction(zv: complex, rho: float) -> complex:
+    """conj(z) / |z|, or 1 at z = 0."""
+    return complex(zv.real / rho, -zv.imag / rho) if rho else 1 + 0j
+
+
+def berezin_symbol_quadrature(u: MonomialSymbol, z, rule: DiskQuadrature):
     """u~(z) = integral u(w) |k_z(w)|^2 dA(w) by the tensor rule, no nodes visited.
 
     ``u`` is a polynomial symbol; anything else raises TypeError.  Term
@@ -260,22 +382,33 @@ def berezin_symbol_quadrature(u: MonomialSymbol, z, rule: DiskQuadrature) -> com
     frequency d = j - k (_ring_sums), aliases at |d| >= n_angular
     included.  Each term's radial sum is formed before its coefficient
     multiplies it, and the sums are pairwise, in an order numpy fixes;
-    no BLAS routine is called.
+    no BLAS routine is called.  A complex for one point, a complex array
+    for a 1-d array of points, each entry bitwise its one-point value:
+    every reduction runs over the last axis of a C-contiguous array.
     """
     if not isinstance(u, MonomialSymbol):
         raise TypeError(f"expected a MonomialSymbol, got {type(u).__name__}")
+    zv, gap = _disk_points(z)
     coeffs = u.coeffs
     if not coeffs:
-        return 0j
+        return np.zeros(len(zv), dtype=complex) if isinstance(zv, np.ndarray) else 0j
     column = {}
     for j, k in coeffs:
         column.setdefault(j - k, len(column))
     freqs = np.fromiter(column, dtype=int, count=len(column))
-    rows = _ring_sums(z, rule, freqs)[[column[j - k] for j, k in coeffs]]
+    index = [column[j - k] for j, k in coeffs]
     powers = np.fromiter((j + k for j, k in coeffs), dtype=float, count=len(coeffs))
-    rows *= np.power(rule.radial_r, powers[:, None])
     values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-    return complex((values * rows.sum(axis=1)).sum())
+
+    def route(zv, gap):
+        rows = np.take(_ring_sums(zv, gap, rule, freqs), index, axis=-2)
+        rows *= np.power(rule.radial_r, powers[:, None])
+        return (values * rows.sum(axis=-1)).sum(axis=-1)
+
+    if isinstance(zv, np.ndarray):
+        width = max((2 * len(freqs) + len(coeffs)) * rule.n_radial, rule.n_angular + 1)
+        return _by_chunks(route, zv, gap, width)
+    return complex(route(zv, gap))
 
 
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
@@ -648,20 +781,17 @@ def fit_operator_from_berezin(fieldfn, dim: int) -> TruncatedOperator:
     Solves the least-squares inversion of the transform's double power
     series on a 15 x 24 polar grid inside |z| <= 0.8; this reconstructs
     the matrix that generated the samples, numerically witnessing that
-    the transform determines the operator.
+    the transform determines the operator.  ``fieldfn`` is called once,
+    with the 360 grid points as a 1-d array, and returns the 360 samples.
     """
     # Per angular harmonic the fit sees radial powers up to twice the
     # matrix dimension plus the kernel-prefactor degree, so the radius
     # count must comfortably exceed the fitted dimension.
     angles = 2.0 * np.pi * np.arange(24) / 24
     points = np.multiply.outer(np.linspace(0.1, 0.8, 15), np.exp(1j * angles)).ravel()
-    b = np.array([complex(fieldfn(p)) for p in points])
-
-    # sample i is conj(c[i]) . S c[i], c[i] = kernel_coefficients(points[i], dim),
-    # here all rows in one expression
-    n = np.arange(dim)
-    gaps = np.array([disk_gap(p) for p in points])
-    c = gaps[:, None] * np.sqrt(n + 1.0) * np.conj(points)[:, None] ** n
+    b = np.asarray(fieldfn(points), dtype=complex)
+    # sample i is conj(c[i]) . S c[i], c[i] = kernel_coefficients(points[i], dim)
+    c = kernel_coefficients(points, dim)
     design = (np.conj(c)[:, :, None] * c[:, None, :]).reshape(len(points), -1)
 
     coeffs, *_ = np.linalg.lstsq(design, b, rcond=None)

@@ -201,21 +201,28 @@ def cmd_berezin(args) -> int:
     rule = cfg.rule() if "quadrature" in routes else None
     operator = toeplitz_exact(symbol, cfg.truncation) if "operator" in routes else None
 
+    values_at = {}  # each route once, for all points
+    for route in routes:
+        if route == "series":
+            values_at[route] = bz.berezin_symbol_series(symbol, zs).tolist()
+        elif route == "quadrature":
+            values_at[route] = bz.berezin_symbol_quadrature(symbol, zs, rule).tolist()
+        else:
+            values_at[route] = bz.berezin_operator(operator, zs).tolist()
+
     results = []
     rows = []
     flagged = False
-    for z in zs:
+    for p, z in enumerate(zs):
         values = {}
         flags = {}
         for route in routes:
+            value = values_at[route][p]
             if route == "series":
-                value = bz.berezin_symbol_series(symbol, z)
                 flag = ""
             elif route == "quadrature":
-                value = bz.berezin_symbol_quadrature(symbol, z, rule)
                 flag = bz.quadrature_flag(rule, z, symbol.total_degree)
             else:
-                value = bz.berezin_operator(operator, z)
                 flag = bz.operator_flag(cfg.truncation, z)
             values[route] = value
             flags[route] = flag

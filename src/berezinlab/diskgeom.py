@@ -45,7 +45,11 @@ def disk_gap(z) -> float:
     Each coordinate's square splits exactly into its rounded value and
     error term (Veltkamp), and math.fsum adds the five parts exactly.
     """
-    zv = disk_value(z)
+    return _gap(disk_value(z))
+
+
+def _gap(zv: complex) -> float:
+    """disk_gap of a point disk_value has already checked."""
     parts = [1.0]
     for a in (zv.real, zv.imag):
         square, split = a * a, a * 134217729.0  # 2^27 + 1

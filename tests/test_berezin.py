@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from berezinlab import berezin as bz
 from berezinlab import suites
-from berezinlab.diskgeom import disk_gap, mobius_eval
+from berezinlab.diskgeom import DiskDomainError, disk_gap, mobius_eval
 from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
 from berezinlab.quadrature import build_rule
@@ -132,6 +132,103 @@ class TestSharedSeriesTable:
             assert value == 0j and isinstance(value, complex)
 
 
+BATCH_SYMBOL = MonomialSymbol({(0, 0): 0.5 - 0.25j, (2, 1): 1.0, (0, 3): 0.3j,
+                               (4, 0): -0.7, (1, 5): 0.2})
+# |z| = 0.3 sums one 512-term series block and |z| = 0.995 several, in one call
+BATCH_POINTS = np.array([0.3, 0.995 * np.exp(0.7j), 0j, -0.3j, 0.995, 0.5 + 0.4j,
+                         0.3 * np.exp(2.1j), 0.8j])
+
+
+@pytest.fixture(scope="module", params=["kernel_coefficients", "berezin_operator",
+                                        "berezin_symbol_series", "berezin_symbol_quadrature"])
+def batched_route(request, default_rule):
+    """(name, f) with f(z) the named function of one point or a 1-d array of points."""
+    op = toeplitz_exact(BATCH_SYMBOL, 64)
+    return request.param, {
+        "kernel_coefficients": lambda z: bz.kernel_coefficients(z, 24),
+        "berezin_operator": lambda z: bz.berezin_operator(op, z),
+        "berezin_symbol_series": lambda z: bz.berezin_symbol_series(BATCH_SYMBOL, z),
+        "berezin_symbol_quadrature":
+            lambda z: bz.berezin_symbol_quadrature(BATCH_SYMBOL, z, default_rule),
+    }[request.param]
+
+
+def bits(values) -> np.ndarray:
+    """Complex values as their float64 halves, to compare bit for bit."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(float)
+
+
+def assert_entries_are_one_point_values(f, points, values):
+    """values[i] is bitwise f(points[i]); a transform's one-point value is a complex."""
+    assert values.dtype == np.complex128 and len(values) == len(points)
+    for z, value in zip(points, values):
+        one = f(complex(z))
+        if values.ndim == 1:
+            assert type(one) is complex
+        assert np.array_equal(bits(one), bits(value))
+
+
+class TestBatchedPoints:
+    def test_entries_are_bitwise_one_point_values(self, batched_route):
+        name, f = batched_route
+        values = f(BATCH_POINTS)
+        width = (24,) if name == "kernel_coefficients" else ()
+        assert values.shape == (len(BATCH_POINTS),) + width
+        assert bz._series_block_count(0.3 ** 2) == 1 < bz._series_block_count(0.995 ** 2)
+        assert_entries_are_one_point_values(f, BATCH_POINTS, values)
+
+    def test_several_chunks(self, batched_route):
+        # more points than the operator route's chunk of CHUNK_ENTRIES // 64;
+        # the series and quadrature routes' chunks are smaller still
+        rng = np.random.default_rng(45)
+        points = suites.sample_points(rng, 1100, 0.999)
+        assert len(points) > bz.CHUNK_ENTRIES // 64
+        _, f = batched_route
+        assert_entries_are_one_point_values(f, points, f(points))
+
+    def test_scalar_kinds_are_one_point(self, batched_route):
+        _, f = batched_route
+        want = f(0.3 + 0.2j)
+        for z in (np.complex128(0.3 + 0.2j), np.array(0.3 + 0.2j)):
+            got = f(z)
+            assert type(got) is type(want)
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_python_list(self, batched_route):
+        _, f = batched_route
+        points = BATCH_POINTS.tolist()
+        assert np.array_equal(bits(f(points)), bits(f(BATCH_POINTS)))
+
+    def test_no_points(self, batched_route):
+        name, f = batched_route
+        values = f(np.array([]))
+        assert values.dtype == np.complex128
+        assert values.shape == ((0, 24) if name == "kernel_coefficients" else (0,))
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("bad", [1.0, 0.6 + 0.8j, 2j, complex("nan")])
+    def test_out_of_disk_point_raises(self, batched_route, position, bad):
+        _, f = batched_route
+        points = BATCH_POINTS.copy()
+        points[position] = bad
+        with pytest.raises(DiskDomainError):
+            f(points)
+
+    def test_two_dimensional_points_rejected(self, batched_route):
+        _, f = batched_route
+        with pytest.raises(ValueError, match="1-d array"):
+            f(BATCH_POINTS.reshape(2, 4))
+
+    @pytest.mark.parametrize("route", [bz.berezin_symbol_series, bz.berezin_symbol_quadrature])
+    def test_empty_symbol(self, route, default_rule):
+        args = (default_rule,) if route is bz.berezin_symbol_quadrature else ()
+        one = route(MonomialSymbol(), 0.4j, *args)
+        assert one == 0j and type(one) is complex
+        values = route(MonomialSymbol(), BATCH_POINTS, *args)
+        assert values.dtype == np.complex128 and values.shape == BATCH_POINTS.shape
+        assert not values.any()
+
+
 class TestExactRoute:
     def test_matches_series_broadly(self):
         rng = np.random.default_rng(22)
@@ -250,7 +347,7 @@ class TestQuadratureRoute:
         rule = build_rule(12, 32)
         n = rule.n_angular
         freqs = np.array([-45, -33, -32, -31, -1, 0, 1, 5, 31, 32, 33, 64])
-        got = bz._ring_sums(z, rule, freqs)
+        got = bz._ring_sums(*bz._disk_points(z), rule, freqs)
         assert got.shape == (len(freqs), rule.n_radial)
         z = complex(z)
         with mpmath.workdps(40):
@@ -622,7 +719,14 @@ class TestInjectivityFit:
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         m /= np.linalg.norm(m)
         op = TruncatedOperator(m)
-        fitted = bz.fit_operator_from_berezin(lambda z: bz.berezin_operator(op, z), 6)
+        shapes = []
+
+        def field(z):
+            shapes.append(np.shape(z))
+            return bz.berezin_operator(op, z)
+
+        fitted = bz.fit_operator_from_berezin(field, 6)
+        assert shapes == [(360,)]  # one call, with the whole grid
         assert np.max(np.abs(fitted.matrix - m)) < 1e-8
 
     def test_semicommutator_transform_identity(self):
