@@ -17,8 +17,8 @@ Five routes to the same number:
   included, is a closed form in the density's Fourier coefficients and
   no node is visited;
 * mean-value route: u~(z) = integral of u o phi_z dA, summed term by
-  term from one table of powers of phi_z per slice of the rule's nodes,
-  with no node values of u formed.
+  term from ring sums of the powers of phi_z(nodes) that u uses, with
+  no node values of u formed.
 
 Invariant Laplacians are exact: the exact route on a symbol's, or the
 product rule on a truncated operator's polynomial transform.
@@ -53,7 +53,8 @@ SERIES_TOL = 1e-12
 RELIABILITY_TOL = 1e-6
 # Final-sample magnitude below which both commutator profiles count as decayed.
 DECAY_THRESHOLD = 1e-3
-# Entries per temporary of a transform route batched over points, as in weighted_sum.
+# Entries per temporary of a transform route batched over points; weighted_sum
+# puts the same cap on its power table and buffers together.
 CHUNK_ENTRIES = 8 * BLOCK_NODES
 
 
@@ -416,10 +417,11 @@ def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
 
     Substituting w = phi_z(v) in the kernel integral leaves
     integral (u o phi_z) dA, an independent route used as a cross-check.
-    The rule's sum is taken term by term from powers of phi_z(nodes)
+    Each ring of the rule weighs radial_w_i, and the sum is taken term
+    by term from ring sums of powers of phi_z(nodes)
     (MonomialSymbol.weighted_sum), with no node values of u.
     """
-    return u.weighted_sum(rule.nodes, rule.weights, z)
+    return u.weighted_sum(rule, rule.radial_w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +506,12 @@ def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> comp
 
     Equals (1 - |z|^2)^2 (Delta u~)(z); the vanishing of either as
     z approaches the boundary is one of the equivalent fixed-point
-    criteria this laboratory probes.  The rule's sum folds 2|w|^2 - 1
-    into the node weights and goes through MonomialSymbol.weighted_sum.
+    criteria this laboratory probes.  2|w|^2 - 1 is constant on each
+    ring of the rule, so it folds into the ring weights of
+    MonomialSymbol.weighted_sum.
     """
-    weights = rule.weights * (2.0 * np.abs(rule.nodes) ** 2 - 1.0)
-    return 8.0 * u.weighted_sum(rule.nodes, weights, z)
+    r = rule.radial_r
+    return 8.0 * u.weighted_sum(rule, rule.radial_w * (2.0 * r * r - 1.0), z)
 
 
 def factored_harmonic_invariant_laplacian(factors, z) -> complex:

@@ -246,17 +246,18 @@ def plain_compression_residuals(symbols, z, dims, rule,
                                 block: int) -> list[list[float]]:
     """Leading-block residuals of plain U_z T_u U_z against ``composed_block``.
 
-    One list per symbol, one residual per dim in it; each multiplies
-    three dim x dim truncations, and each dim's U_z is built once for
-    all the symbols.
+    One list per symbol, one residual per dim in it.  U_z is built once,
+    at the largest dim, since each smaller compression is its leading
+    block; of the product of dim x dim truncations only the rows and
+    columns the residual reads are formed, U[:block] T_u U[:, :block].
     """
-    targets = [composed_block(u, z, rule, block) for u in symbols]
+    targets = [composed_block(u, z, rule, block).matrix for u in symbols]
+    uz = unitary_uz(z, max(dims)).matrix
     residuals = [[] for _ in targets]
     for dim in dims:
-        uz = unitary_uz(z, dim)
         for u, rhs, row in zip(symbols, targets, residuals):
-            lhs = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
-            row.append((lhs - rhs).norm_fro())
+            lhs = uz[:block, :dim] @ toeplitz_exact(u, dim).matrix @ uz[:dim, :block]
+            row.append(float(np.linalg.norm(lhs - rhs)))
     return residuals
 
 

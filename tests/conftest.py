@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,9 @@ def node_value_transform(values, z, rule) -> complex:
     density = kernel_density_grid(z, rule)
     density *= (rule.radial_w / rule.n_angular)[:, None]
     return complex(np.sum(values * density.ravel()))
+
+
+def fsum_node_sum(weights, values) -> complex:
+    """sum_n weights_n values_n with the products summed correctly rounded (math.fsum)."""
+    terms = weights * values
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))

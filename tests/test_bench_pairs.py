@@ -77,6 +77,37 @@ def test_raw_figures_summarized_when_every_run_has_them():
     assert raw["ref_kernel_ms"]["change"]["q1"] == 2.25
 
 
+def run_output(round_wall_s, ref_ms, setups, setup_refs, wall=10.0):
+    """run.py's last two stdout lines: the reference figures, then the result."""
+    figures = {"rounds": 20, "round_wall_s": round_wall_s, "round_cpu_s": round_wall_s,
+               "ref_kernel_ms": ref_ms, "setup_samples_s": setups,
+               "setup_ref_ms": setup_refs}
+    return (f"route-sweep: a failure line\nreference figures: {json.dumps(figures)}\n"
+            f"{json.dumps(line(wall, 5))}\n")
+
+
+def test_run_output_keeps_setup_medians_under_raw():
+    run = bench_pairs.parse_run(run_output(0.075, 1.2, [0.19, 0.18, 0.2, 0.17, 0.21],
+                                           [1.1, 1.3, 1.2, 1.25, 1.0]))
+    assert run["metrics"]["wall_ref"]["value"] == 10.0 and run["correct"]
+    assert run["raw"] == {"round_wall_ms": 75.0, "ref_kernel_ms": 1.2,
+                          "setup_samples_s": 0.19, "setup_ref_ms": 1.2}
+
+
+def test_setup_medians_summarized_per_side():
+    # equal time to READY and a faster kernel after the change's set-up:
+    # setup_s, READY time over kernel time, reads higher for the change with
+    # no more set-up work, and the raw medians show why
+    pairs = [{"seed": k,
+              "parent": bench_pairs.parse_run(run_output(0.075, 1.2, [0.18] * 7, [1.23] * 7)),
+              "change": bench_pairs.parse_run(run_output(0.075, 1.2, [0.18] * 7, [1.1] * 7))}
+             for k in (1, 2, 3)]
+    raw = bench_pairs.summarize(pairs, METRICS)["raw"]
+    assert raw["setup_samples_s"]["parent"]["median"] == raw["setup_samples_s"]["change"]["median"]
+    assert raw["setup_ref_ms"]["parent"]["median"] == 1.23
+    assert raw["setup_ref_ms"]["change"]["runs"] == [1.1, 1.1, 1.1]
+
+
 def test_claim_needs_size_pairs_and_a_gap_beyond_noise():
     pairs = [{"seed": k, "parent": line(100.0 + k, 1), "change": line(70.0 + k, 1)}
              for k in range(1, 11)]

@@ -14,7 +14,8 @@ from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
                                   toeplitz_exact)
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
-from conftest import kernel_density_grid, laplacian_fd, node_value_transform
+from conftest import (fsum_node_sum, kernel_density_grid, laplacian_fd,
+                      node_value_transform)
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -402,20 +403,21 @@ class TestMeanValueRoute:
 
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
     def test_blocks_match_whole_array(self, shape):
-        # 20 480 nodes fill five slices, 5000 end in a partial one and
-        # 3000 fit in one
+        # 80 rings take five or six slices of whole rings, one set ending in
+        # a shorter slice, 50 take two and 30 one; the reference sums the
+        # weighted node values correctly rounded
         rule = build_rule(*shape)
         rng = np.random.default_rng(43)
         for _ in range(5):
             u = suites.random_symbol(rng, max_degree=8)
             for z in (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j)):
-                whole = np.dot(rule.weights, u.compose_mobius_evaluator(z)(rule.nodes))
+                whole = fsum_node_sum(rule.weights, u.compose_mobius_evaluator(z)(rule.nodes))
                 got = bz.mean_value_transform(u, z, rule)
                 assert abs(got - whole) <= 1e-15 * max(1.0, abs(whole))
 
     def test_degree_40_memory_stays_small(self, default_rule):
-        # the power table is capped at 8 x 4096 entries, 0.52 MB; all 41
-        # rows of 4096 nodes would take 2.7 MB
+        # the power table and buffers are capped at 8 x 4096 entries,
+        # 0.52 MB; all 41 powers of 20 480 nodes would take 13 MB
         u = MonomialSymbol({(40, 0): 1.0, (20, 20): -1.0, (3, 1): 1j, (0, 40): 0.5})
         bz.mean_value_transform(u, 0.3 + 0.2j, default_rule)
         tracemalloc.start()
@@ -533,8 +535,8 @@ class TestLaplacians:
         for z in (0.0, 0.4, 0.3 + 0.4j, -0.99j):
             composed = u.compose_mobius_evaluator(z)
             nodes = default_rule.nodes
-            whole = 8.0 * np.dot(default_rule.weights,
-                                 composed(nodes) * (2.0 * np.abs(nodes) ** 2 - 1.0))
+            whole = 8.0 * fsum_node_sum(default_rule.weights,
+                                        composed(nodes) * (2.0 * np.abs(nodes) ** 2 - 1.0))
             got = bz.harmonic_defect_integral(u, z, default_rule)
             # the integrand is up to 8 * 2.5 in size and cancels to 3e-3
             assert abs(got - whole) <= 1e-14

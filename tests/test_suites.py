@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from berezinlab.operators import toeplitz_exact, unitary_uz
 from berezinlab.quadrature import build_rule
 from berezinlab.suites import (BATTERIES, composed_block, measured_moment_table,
-                               random_symbol, run_batteries, sample_points)
+                               plain_compression_residuals, random_symbol,
+                               run_batteries, sample_points)
 from berezinlab.symbols import MonomialSymbol
 
 
@@ -123,6 +125,25 @@ def test_rule_doubling_memory_stays_small(default_rule):
     battery = BATTERIES["rule-doubling-stability"]
     assert traced_peak_mb(battery) < 3.0
     assert battery().passed
+
+
+@pytest.mark.parametrize("z", [0.5, 0.7, -0.35 + 0.35j, 0.45j, 1e-3])
+def test_plain_compression_leading_block_matches_full_product(z, default_rule):
+    # U_z is built once, at 128 rows, and only the leading block of each
+    # product is formed; at |z| = 1e-3 the 128-row build takes two prefix
+    # blocks where the 32-row one takes one
+    symbols = [MonomialSymbol.identity(), MonomialSymbol.monomial(0, 1),
+               MonomialSymbol.monomial(1, 1)]
+    dims, block = (32, 64, 128), 16
+    big = unitary_uz(z, 128).matrix
+    got = plain_compression_residuals(symbols, z, dims, default_rule, block)
+    for u, residuals in zip(symbols, got):
+        rhs = composed_block(u, z, default_rule, block)
+        for dim, residual in zip(dims, residuals):
+            uz = unitary_uz(z, dim)
+            assert np.max(np.abs(big[:dim, :dim] - uz.matrix)) <= 1e-14
+            full = (uz @ toeplitz_exact(u, dim) @ uz).leading_block(block)
+            assert abs(residual - (full - rhs).norm_fro()) <= 1e-14 * full.norm_fro()
 
 
 def test_injectivity_residual_unchanged():

@@ -11,6 +11,7 @@ from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product,
                                 format_complex, parse_blaschke_zeros,
                                 parse_complex)
+from conftest import fsum_node_sum
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -264,13 +265,13 @@ class TestSlicedEvaluation:
 def _horner_sum(u, nodes, weights, z=None):
     """Reference: Horner node values, their weighted products summed exactly."""
     values = u.evaluate_array(nodes) if z is None else u.compose_mobius_evaluator(z)(nodes)
-    terms = weights * values
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return fsum_node_sum(weights, values)
 
 
 class TestWeightedSum:
-    """The power-table sum against Horner node values, and the plain rule sum
-    read from the moment table against Horner node values and exact rule moments."""
+    """The ring power-sum route against Horner node values, and the plain rule
+    sum read from the moment table against Horner node values and exact rule
+    moments."""
 
     POINTS = (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j))
 
@@ -280,7 +281,7 @@ class TestWeightedSum:
 
     def test_empty_symbol_is_zero(self, default_rule):
         empty = MonomialSymbol({})
-        for got in (empty.weighted_sum(default_rule.nodes, default_rule.weights, 0.5j),
+        for got in (empty.weighted_sum(default_rule, default_rule.radial_w, 0.5j),
                     table_sum(empty, measured_moment_table(default_rule, 0))):
             assert type(got) is complex and got == 0j
 
@@ -291,12 +292,12 @@ class TestWeightedSum:
         self._assert_close(plain, _horner_sum(u, nodes, weights))
         self._assert_close(plain, (2.5 - 1j) * math.fsum(weights))
         for z in self.POINTS:
-            got = u.weighted_sum(nodes, weights, z)
+            got = u.weighted_sum(default_rule, default_rule.radial_w, z)
             self._assert_close(got, _horner_sum(u, nodes, weights, z))
             self._assert_close(got, (2.5 - 1j) * math.fsum(weights))
 
-    # 20 480 nodes fill five slices, 5000 end in a partial one and 3000
-    # fit in one; exponents above 8 run the capped, shorter slices
+    # slices of whole rings: 80 rings take five to eight, some sets ending
+    # in a shorter slice, 50 rings take two and 30 rings one or two
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
     def test_matches_horner(self, shape):
         rule = build_rule(*shape)
@@ -309,7 +310,7 @@ class TestWeightedSum:
             self._assert_close(table_sum(u, table),
                                _horner_sum(u, rule.nodes, rule.weights))
             for z in self.POINTS:
-                self._assert_close(u.weighted_sum(rule.nodes, rule.weights, z),
+                self._assert_close(u.weighted_sum(rule, rule.radial_w, z),
                                    _horner_sum(u, rule.nodes, rule.weights, z))
 
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
@@ -325,13 +326,14 @@ class TestWeightedSum:
             self._assert_close(got, _horner_sum(u, rule.nodes, rule.weights))
 
     def test_harmonic_defect_weights(self, default_rule):
-        nodes = default_rule.nodes
+        nodes, r = default_rule.nodes, default_rule.radial_r
         weights = default_rule.weights * (2.0 * np.abs(nodes) ** 2 - 1.0)
+        ring_weights = default_rule.radial_w * (2.0 * r * r - 1.0)
         rng = np.random.default_rng(46)
         for _ in range(4):
             u = _random_symbol(rng, max_degree=6, n_terms=8)
             for z in self.POINTS:
-                self._assert_close(u.weighted_sum(nodes, weights, z),
+                self._assert_close(u.weighted_sum(default_rule, ring_weights, z),
                                    _horner_sum(u, nodes, weights, z))
 
 

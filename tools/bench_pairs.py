@@ -19,8 +19,12 @@ file holds every run, the median and quartiles (numpy's linear
 percentiles) per side, the median change in percent, the gap between
 the medians, the parent's quartile distance and the pairs the change
 won (strictly better; ties count for neither side).  Under "raw" it
-holds the two parts of ``wall_ref`` that run.py reports beside it, the
-median round wall time and the reference kernel's time, per side.
+holds, per side, the two parts of ``wall_ref`` that run.py reports
+beside it, the median round wall time and the reference kernel's time,
+and the two parts of ``setup_s``: each run's median time to READY
+(``setup_samples_s``) and median kernel time right after set-up
+(``setup_ref_ms``), so a change in the kernel's speed after set-up
+reads apart from slower set-up.
 ``--claim WORKLOAD:METRIC:PCT`` records whether that metric improved by
 at least PCT percent in the medians, in at least nine of ten pairs, and
 by more than the parent's quartile distance.
@@ -94,13 +98,20 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, scratch: str) 
         finally:
             shutil.rmtree(where, ignore_errors=True)
         if proc.returncode == 0:
-            *_, figures, line = proc.stdout.strip().splitlines()
-            figures = json.loads(figures.split(": ", 1)[1])
-            return {**json.loads(line), "reruns": attempt,
-                    "raw": {"round_wall_ms": 1e3 * figures["round_wall_s"],
-                            "ref_kernel_ms": figures["ref_kernel_ms"]}}
+            return {**parse_run(proc.stdout), "reruns": attempt}
         print(f"{workload} seed {seed}: run.py exited {proc.returncode}", file=sys.stderr)
     raise RuntimeError(f"{workload} seed {seed} failed {RETRIES + 1} times")
+
+
+def parse_run(stdout: str) -> dict:
+    """run.py's last line, parsed, with the line before it reduced to "raw" figures."""
+    *_, figures, line = stdout.strip().splitlines()
+    figures = json.loads(figures.split(": ", 1)[1])
+    return {**json.loads(line),
+            "raw": {"round_wall_ms": 1e3 * figures["round_wall_s"],
+                    "ref_kernel_ms": figures["ref_kernel_ms"],
+                    "setup_samples_s": float(np.median(figures["setup_samples_s"])),
+                    "setup_ref_ms": float(np.median(figures["setup_ref_ms"]))}}
 
 
 def quartiles(values) -> dict:
