@@ -673,7 +673,7 @@ def _describe(f) -> dict:
     return {"kind": "symbol", "terms": f.to_string()}
 
 
-def commutator_compactness_indicator(f, g, radii=None,
+def commutator_compactness_indicator(f, g, radii,
                                      dim: int = DEFAULT_CONFIG.truncation,
                                      path: PathSpec = PathSpec()) -> CommutatorReport:
     """Probe whether the mixed Toeplitz commutator of (f, g) looks compact.
@@ -686,8 +686,6 @@ def commutator_compactness_indicator(f, g, radii=None,
     at the final path sample; truncation flags and the reliable prefix
     are reported alongside so a flagged tail can be discounted.
     """
-    if radii is None:
-        radii = dyadic_radii()
     df, dg = _analytic_derivative(f), _analytic_derivative(g)
 
     def deriv_quantity(z):

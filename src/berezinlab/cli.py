@@ -10,8 +10,9 @@ deterministic given the arguments.
 Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``,
 ``--nr`` or ``--ntheta`` included; ``main`` alone maps a ``CLIError`` or
 ``ValueError`` to it), 3 reliability flag raised under ``--strict``,
-4 invariant failure in suites, 5 numerical failure (an inf or nan in the
-report included, found before anything is written).
+4 invariant failure in suites, 5 numerical failure (a numpy overflow,
+invalid operation or division by zero, raised where it happens, and an
+inf or nan in the report, found before anything is written, included).
 """
 
 from __future__ import annotations
@@ -390,16 +391,6 @@ CONFIG_KEYS = {"trunc": "truncation", "nr": "n_radial", "ntheta": "n_angular",
                "strict": "strict", "format": "format"}
 
 
-class _BatteryNames:
-    """The registered battery names, looked up when parsed and listed sorted."""
-
-    def __contains__(self, name) -> bool:
-        return name in BATTERIES
-
-    def __iter__(self):
-        return iter(sorted(BATTERIES))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berezinlab",
@@ -432,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("identity-suite", cmd_identity_suite, "out format",
                 help="run the invariant batteries and report pass/fail")
-    p.add_argument("--only", default=None, choices=_BatteryNames(),
+    p.add_argument("--only", default=None, choices=sorted(BATTERIES),
                    metavar="BATTERY", help="run a single battery")
 
     p = command("commutator", cmd_commutator, "out format trunc strict",
@@ -470,8 +461,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_matrix_budget(args)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _check_matrix_budget(args)
+            return args.func(args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

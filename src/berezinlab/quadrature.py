@@ -58,16 +58,13 @@ class DiskQuadrature:
     n_angular: int
     ring: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         ring = np.exp(1j * theta)
         nodes = np.multiply.outer(self.radial_r, ring).ravel()
-        weights = np.repeat(self.radial_w / self.n_angular, self.n_angular)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def n_radial(self) -> int:
@@ -80,13 +77,15 @@ class DiskQuadrature:
     def integrate(self, values) -> complex:
         """The rule's sum of an array of node values, as numpy's pairwise sum.
 
+        Ring i of the (n_radial, n_angular) view weighs radial_w_i / n_angular.
         Values of any shape other than the nodes' raise ValueError.
         """
         values = np.asarray(values)
         if values.shape != self.nodes.shape:
             raise ValueError(f"integrand has shape {values.shape}, nodes have"
                              f" shape {self.nodes.shape}")
-        return complex(np.sum(self.weights * values))
+        grid = values.reshape(self.n_radial, self.n_angular)
+        return complex(np.sum(grid * (self.radial_w / self.n_angular)[:, None]))
 
     def radial_moments(self, top: int) -> np.ndarray:
         """R[s] = sum_i radial_w_i radial_r_i^s for s = 0 .. top.

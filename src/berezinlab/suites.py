@@ -158,11 +158,15 @@ def battery_symbol_calculus():
          " solve the matched-derivative equations", 1e-10)
 def battery_harmonic_classifier():
     rng = np.random.default_rng(105)
+    pairs = [tuple(random_symbol(rng, max_degree=4, harmonic=True, integer=True)
+                   for _ in range(2)) for _ in range(40)]
+    for _ in range(10):  # matched pairs F + conj(G), c (F - conj(G)): harmonic products
+        f, g = (random_symbol(rng, max_degree=4, analytic=True, integer=True) for _ in range(2))
+        c = (1, 1j, -1, -1j)[int(rng.integers(4))]
+        pairs.append((f + g.conjugate(), c * (f - g.conjugate())))
     worst = 0.0
     matched = 0
-    for _ in range(40):
-        u = random_symbol(rng, max_degree=4, harmonic=True, integer=True)
-        v = random_symbol(rng, max_degree=4, harmonic=True, integer=True)
+    for u, v in pairs:
         outcome = classify_harmonic_product(u, v)
         lap_zero = (u * v).laplacian().is_zero()
         if (outcome.kind != HarmonicProductKind.NOT_HARMONIC) != lap_zero:

@@ -378,10 +378,10 @@ def classify_harmonic_product(u: MonomialSymbol, v: MonomialSymbol) -> ProductCl
 def _matched_combination(u: MonomialSymbol, v: MonomialSymbol):
     """Solve alpha*u_zbar + beta*v_zbar = 0 and alpha*u_z - beta*v_z = 0.
 
-    Each polynomial identity contributes one linear row per monomial;
-    a nontrivial null vector of the stacked 2-column system is the
-    witness pair, normalized so its largest-modulus entry is exactly 1
-    (ties prefer beta).
+    Each polynomial identity contributes one linear row per monomial; the
+    witness is the least-squares ratio of the two columns with beta = 1,
+    or alpha = 1 where that would make |alpha| > 1 (ties stay with beta),
+    and (None, None) if it leaves a residual above 1e-10 of the largest entry.
     """
     rows = []
     u_zbar, v_zbar = u.dzbar(), v.dzbar()
@@ -391,28 +391,18 @@ def _matched_combination(u: MonomialSymbol, v: MonomialSymbol):
     for idx in sorted(set(u_z._coeffs) | set(v_z._coeffs)):
         rows.append([u_z._coeffs.get(idx, 0j), -v_z._coeffs.get(idx, 0j)])
 
-    if not rows:
-        return 1.0 + 0j, 0j  # both symbols constant
-
     a = np.array(rows, dtype=complex)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 1.0 + 0j, 0j
-    _, s, vh = np.linalg.svd(a / scale)
-    smallest = s[-1] if len(s) == 2 else 0.0
-    if smallest > 1e-10:
+    col0, col1 = a.T
+    norm0 = np.vdot(col0, col0)
+    alpha = -complex(np.vdot(col0, col1) / norm0) if norm0 else np.inf
+    # The tolerance keeps exact ties (|alpha| = |beta|) from flipping on roundoff.
+    if abs(alpha) * (1.0 - 1e-9) <= 1.0:
+        beta = 1.0 + 0j
+    else:
+        alpha, beta = 1.0 + 0j, -complex(np.vdot(col1, col0) / np.vdot(col1, col1))
+    if np.max(np.abs(alpha * col0 + beta * col1)) > 1e-10 * np.max(np.abs(a)):
         return None, None
-    null = vh[-1].conjugate()
-    # Prefer beta as the normalization pivot; the tolerance keeps exact
-    # ties (|alpha| = |beta|) from flipping on roundoff.
-    if abs(null[1]) >= abs(null[0]) * (1.0 - 1e-9):
-        # beta = 1; polish alpha by exact least squares on alpha*col0 = -col1
-        denom = np.vdot(a[:, 0], a[:, 0])
-        alpha = -complex(np.vdot(a[:, 0], a[:, 1]) / denom) if denom != 0 else 0j
-        return alpha, 1.0 + 0j
-    denom = np.vdot(a[:, 1], a[:, 1])
-    beta = -complex(np.vdot(a[:, 1], a[:, 0]) / denom) if denom != 0 else 0j
-    return 1.0 + 0j, beta
+    return alpha, beta
 
 
 class BlaschkeProduct:

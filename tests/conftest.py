@@ -5,6 +5,7 @@ import pytest
 
 from berezinlab.diskgeom import disk_gap, disk_value
 from berezinlab.quadrature import build_rule
+from berezinlab.symbols import HarmonicProductKind, MonomialSymbol
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +67,36 @@ def node_value_transform(values, z, rule) -> complex:
     return complex(np.sum(values * density.ravel()))
 
 
+def node_weights(rule) -> np.ndarray:
+    """The rule's weight of every node in node order: radial_w_i / n_angular on ring i."""
+    return np.repeat(rule.radial_w / rule.n_angular, rule.n_angular)
+
+
 def fsum_node_sum(weights, values) -> complex:
     """sum_n weights_n values_n with the products summed correctly rounded (math.fsum)."""
     terms = weights * values
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def harmonic_product_corpus():
+    """Acceptance criterion 8's pairs (u, v, expected kind) of the harmonic-product classifier."""
+    A = HarmonicProductKind.ANALYTIC_PAIR
+    B = HarmonicProductKind.CONJUGATE_ANALYTIC_PAIR
+    C = HarmonicProductKind.MATCHED_COMBINATION
+    NH = HarmonicProductKind.NOT_HARMONIC
+    sym = MonomialSymbol
+    W, WBAR = sym.identity(), sym.monomial(0, 1)
+    return [
+        (W, W, A),
+        (sym.monomial(2, 0), sym({(1, 0): 3, (0, 0): 1}), A),
+        (sym.constant(1.0), sym.constant(1 + 2j), A),
+        (WBAR, sym.monomial(0, 2), B),
+        (sym.monomial(0, 1, 1j), sym({(0, 2): 1, (0, 0): -5}), B),
+        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1j, (0, 1): -1j}), C),
+        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1, (0, 1): -1}), C),
+        (sym.constant(2 + 1j), sym({(1, 0): 1, (0, 1): 1}), C),
+        (sym({(1, 0): 1, (0, 1): 1}), sym.constant(3j), C),
+        (W, WBAR, NH),
+        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1, (0, 1): 1}), NH),
+        (sym({(1, 0): 1, (0, 1): 2}), sym({(1, 0): 2, (0, 1): 1}), NH),
+    ]

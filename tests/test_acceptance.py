@@ -31,7 +31,7 @@ from berezinlab.suites import (BATTERIES, composed_block, plain_compression_resi
                                random_symbol, sample_points, semicommutator_residual)
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product)
-from conftest import laplacian_fd
+from conftest import harmonic_product_corpus, laplacian_fd
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -186,25 +186,8 @@ def test_criterion_07_product_minus_pointwise_is_defect_transform():
 
 
 def test_criterion_08_harmonic_product_classifier_corpus():
-    A = HarmonicProductKind.ANALYTIC_PAIR
-    B = HarmonicProductKind.CONJUGATE_ANALYTIC_PAIR
-    C = HarmonicProductKind.MATCHED_COMBINATION
     NH = HarmonicProductKind.NOT_HARMONIC
-    sym = MonomialSymbol
-    corpus = [
-        (W, W, A),
-        (sym.monomial(2, 0), sym({(1, 0): 3, (0, 0): 1}), A),
-        (sym.constant(1.0), sym.constant(1 + 2j), A),
-        (WBAR, sym.monomial(0, 2), B),
-        (sym.monomial(0, 1, 1j), sym({(0, 2): 1, (0, 0): -5}), B),
-        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1j, (0, 1): -1j}), C),
-        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1, (0, 1): -1}), C),
-        (sym.constant(2 + 1j), sym({(1, 0): 1, (0, 1): 1}), C),
-        (sym({(1, 0): 1, (0, 1): 1}), sym.constant(3j), C),
-        (W, WBAR, NH),
-        (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1, (0, 1): 1}), NH),
-        (sym({(1, 0): 1, (0, 1): 2}), sym({(1, 0): 2, (0, 1): 1}), NH),
-    ]
+    corpus = harmonic_product_corpus()
     assert len(corpus) == 12
     failures = []
     for i, (u, v, expected) in enumerate(corpus):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from berezinlab import berezin as bz
 from berezinlab import cli
 from berezinlab.berezin import DEFAULT_CONFIG
 from berezinlab.operators import (TruncatedOperator, toeplitz_exact, toeplitz_quadrature,
@@ -309,11 +310,15 @@ class TestIdentitySuite:
         assert rows[1][1] == "pass"
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
+        # the parser lists the batteries registered when it is built, so
+        # an existing name is patched
+        name = sorted(cli.BATTERIES)[0]
+
         def always_fails():
-            return BatteryResult("always-fails", "stub", False, 1.0, 1e-9, {})
-        monkeypatch.setitem(cli.BATTERIES, "always-fails", always_fails)
+            return BatteryResult(name, "stub", False, 1.0, 1e-9, {})
+        monkeypatch.setitem(cli.BATTERIES, name, always_fails)
         out = tmp_path / "suite.json"
-        code = run(["identity-suite", "--only", "always-fails", "--out", str(out)])
+        code = run(["identity-suite", "--only", name, "--out", str(out)])
         assert code == 4
         payload = read_json(out)
         assert payload["results"][0]["passed"] is False
@@ -379,10 +384,9 @@ class TestCommutatorCommand:
 
     def test_overflowing_product_rejected(self, capsys):
         # the 1e400 entries of T_f^* T_g overflow the matrix product
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["commutator", "--f", "1,0:1e200", "--g", "1,0:1e200",
-                        "--trunc", "8"]) == 2
-        assert capsys.readouterr().err == "error: operator entries must be finite\n"
+        assert run(["commutator", "--f", "1,0:1e200", "--g", "1,0:1e200",
+                    "--trunc", "8"]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: overflow encountered in matmul\n"
 
     def test_csv_profiles(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -446,6 +450,17 @@ class TestDecayCommand:
 
     def test_missing_symbol_rejected(self):
         assert run(["decay", "--field", "localization"]) == 2
+
+    def test_invariant_laplacian_field(self, capsys):
+        text = "3,1:1;0,2:0.5i;2,2:-2"
+        assert run(["decay", "--field", "invariant-laplacian", "--symbol", text,
+                    "--kmax", "12", "--theta", "0.3", "--aperture", "0.5"]) == 0
+        samples = json.loads(capsys.readouterr().out)["profiles"][0]["samples"]
+        u, path = MonomialSymbol.from_string(text), bz.PathSpec(angle=0.3, aperture=0.5)
+        expected = [cli._roundtrip(bz.invariant_laplacian(u, complex(path.point(r))))
+                    for r in bz.dyadic_radii(12)]
+        assert [s["value"] for s in samples] == expected
+        assert all(s["flag"] == "" for s in samples)
 
 
 class TestDeterminism:
@@ -605,12 +620,16 @@ class TestErrorLines:
 
 
 class TestNonFiniteOutput:
-    """Finite symbols whose transforms overflow: exit 5, one line, nothing written."""
+    """Finite symbols whose transforms overflow: exit 5, one line, nothing written.
+
+    A numpy overflow is named by its operation; an inf that Python float
+    arithmetic makes is named by the first report field that holds it.
+    """
 
     @pytest.mark.parametrize("argv, message", [
         (["berezin", "--symbol", "0,0:1.5e308;1,1:1.5e308", "--z", "0.5",
           "--route", "quadrature"],
-         "report.results[0].values.quadrature.real is not finite (inf)"),
+         "overflow encountered in reduce"),
         (["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e308;0,0:1e308",
           "--kmax", "3", "--format", "csv"],
          "value_re of row 3 is not finite (inf)"),
@@ -619,10 +638,25 @@ class TestNonFiniteOutput:
          "report.profiles[0].samples[2].value[0] is not finite (inf)"),
     ])
     def test_first_non_finite_field_named(self, argv, message, capsys):
-        # the overflow's RuntimeWarnings are another matter
-        with np.errstate(all="ignore"):
-            assert run(argv) == cli.EXIT_NUMERICAL == 5
+        assert run(argv) == cli.EXIT_NUMERICAL == 5
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["toeplitz", "--quadrature", "--symbol", "0,0:1e308;1,0:1e308;2,0:1e308",
+         "--trunc", "4"],
+        ["commutator", "--f", "1,0:1e200;2,0:1e200", "--g", "1,0:1e200", "--kmax", "3",
+         "--trunc", "8"],
+        ["berezin", "--symbol", "0,0:1.5e308;1,1:1.5e308", "--z", "0.5",
+         "--route", "quadrature"],
+    ])
+    def test_numpy_overflow_exits_5_without_warning(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert caught == [] and out == ""
+        assert re.fullmatch(r"error: overflow encountered in \w+\n", err)
+        assert "Warning" not in err
 
     def test_huge_finite_transform_prints_without_warning(self, capsys):
         # the quadrature route weights each ring sum before a coefficient

@@ -6,6 +6,7 @@ import pytest
 from berezinlab.quadrature import (DiskQuadrature, QuadratureWarning,
                                    build_rule, check_rule_for_degree,
                                    monomial_moment)
+from conftest import node_weights
 
 
 class TestMomentOracle:
@@ -21,8 +22,8 @@ class TestMomentOracle:
 
 class TestBuildRule:
     def test_weights_positive_and_normalized(self, default_rule):
-        assert np.all(default_rule.weights > 0)
-        assert np.sum(default_rule.weights) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(default_rule.radial_w > 0)
+        assert np.sum(default_rule.radial_w) == pytest.approx(1.0, abs=1e-14)
 
     def test_total_mass(self, default_rule):
         assert default_rule.integrate(np.ones_like(default_rule.nodes)) == pytest.approx(1.0)
@@ -73,8 +74,19 @@ class TestIntegrate:
         # the weights' exact sum is 1 on both rules, where a BLAS dot with
         # complex ones reads 1 + 1.2e-14 and 1 + 2.5e-14 (one thread)
         rule = build_rule(*shape)
-        assert math.fsum(rule.weights) == 1.0
+        assert math.fsum(node_weights(rule)) == 1.0
         assert rule.integrate(np.ones(rule.nodes.shape)) == 1.0
+
+    @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (7, 3), (1, 1), (33, 64)])
+    def test_sum_equals_per_node_weights(self, shape):
+        # ring-weighted view of the values, bitwise the one sum over per-node weights
+        rule = build_rule(*shape)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        weights = node_weights(rule)
+        for values in (rng.standard_normal(rule.nodes.shape),
+                       rng.standard_normal(rule.nodes.shape) * rule.nodes,
+                       np.exp(rng.standard_normal(rule.nodes.shape) * 3j) * 1e300):
+            assert rule.integrate(values) == complex(np.sum(weights * values))
 
     def test_accepts_precomputed_values(self, default_rule):
         values = np.abs(default_rule.nodes) ** 2

@@ -10,6 +10,7 @@ from berezinlab.suites import (BATTERIES, composed_block, measured_moment_table,
                                plain_compression_residuals, random_symbol,
                                run_batteries, sample_points)
 from berezinlab.symbols import MonomialSymbol
+from conftest import node_weights
 
 
 def test_every_battery_passes_at_shipped_tolerances():
@@ -39,7 +40,7 @@ def node_powers(rule, degree):
 def moment_table_whole_array(rule, degree):
     """Reference: the Gram matrix of the full power table against the weights."""
     powers = node_powers(rule, degree)
-    return (powers * rule.weights) @ powers.conj().T
+    return (powers * node_weights(rule)) @ powers.conj().T
 
 
 def traced_peak_mb(fn) -> float:
@@ -90,7 +91,7 @@ def test_moment_table_matches_exact_node_sums(shape, degree):
     assert np.array_equal(got, got.conj().T)
     for a in range(degree + 1):
         # every node's weights w^a conj(w)^b, for b <= a
-        terms = rule.weights * powers[a] * conj[:a + 1]
+        terms = node_weights(rule) * powers[a] * conj[:a + 1]
         want = exact_row_sums(terms.real) + 1j * exact_row_sums(terms.imag)
         assert np.max(np.abs(got[a, :a + 1] - want)) <= 1e-15
         if a in (0, 1, degree):
@@ -151,6 +152,14 @@ def test_injectivity_residual_unchanged():
     # kernel_coefficients call per sample
     residual = run_batteries(only="berezin-injectivity")[0].max_residual
     assert float(f"{residual:.12g}") == 3.02155777455e-12
+
+
+def test_harmonic_classifier_battery_checks_witnesses():
+    # the 40 drawn pairs give no matched combination; the 10 seeded
+    # matched pairs after them do, each with an exact integer witness
+    result = run_batteries(only="harmonic-product-classifier")[0]
+    assert result.details == {"matched_cases": 10}
+    assert result.passed and result.max_residual == 0.0
 
 
 def test_unknown_battery_rejected():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezinlab.quadrature import build_rule
-from berezinlab.suites import measured_moment_table, table_sum
+from berezinlab.suites import measured_moment_table, random_symbol, table_sum
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product,
                                 format_complex, parse_blaschke_zeros,
                                 parse_complex)
-from conftest import fsum_node_sum
+from conftest import fsum_node_sum, harmonic_product_corpus, node_weights
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -287,7 +287,7 @@ class TestWeightedSum:
 
     def test_constant(self, default_rule):
         u = MonomialSymbol.constant(2.5 - 1j)
-        nodes, weights = default_rule.nodes, default_rule.weights
+        nodes, weights = default_rule.nodes, node_weights(default_rule)
         plain = table_sum(u, measured_moment_table(default_rule, 0))
         self._assert_close(plain, _horner_sum(u, nodes, weights))
         self._assert_close(plain, (2.5 - 1j) * math.fsum(weights))
@@ -308,10 +308,10 @@ class TestWeightedSum:
         table = measured_moment_table(rule, 12)
         for u in symbols:
             self._assert_close(table_sum(u, table),
-                               _horner_sum(u, rule.nodes, rule.weights))
+                               _horner_sum(u, rule.nodes, node_weights(rule)))
             for z in self.POINTS:
                 self._assert_close(u.weighted_sum(rule, rule.radial_w, z),
-                                   _horner_sum(u, rule.nodes, rule.weights, z))
+                                   _horner_sum(u, rule.nodes, node_weights(rule), z))
 
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
     def test_plain_sum_matches_rule_moments(self, shape):
@@ -323,11 +323,11 @@ class TestWeightedSum:
             exact = sum(c * rule.rule_moment(j, k) for (j, k), c in u.coeffs.items())
             got = table_sum(u, table)
             self._assert_close(got, exact)
-            self._assert_close(got, _horner_sum(u, rule.nodes, rule.weights))
+            self._assert_close(got, _horner_sum(u, rule.nodes, node_weights(rule)))
 
     def test_harmonic_defect_weights(self, default_rule):
         nodes, r = default_rule.nodes, default_rule.radial_r
-        weights = default_rule.weights * (2.0 * np.abs(nodes) ** 2 - 1.0)
+        weights = node_weights(default_rule) * (2.0 * np.abs(nodes) ** 2 - 1.0)
         ring_weights = default_rule.radial_w * (2.0 * r * r - 1.0)
         rng = np.random.default_rng(46)
         for _ in range(4):
@@ -367,7 +367,69 @@ class TestAdopt:
         assert W.dzbar().is_zero()
 
 
+def _svd_matched_combination(u, v):
+    """The witness as the null vector of the scaled system, by SVD.
+
+    The reference for symbols._matched_combination: rows as there, the
+    pivot is the larger entry of the null vector (ties to beta), and the
+    other entry is polished by the same least-squares ratio.
+    """
+    rows = []
+    u_zbar, v_zbar = u.dzbar(), v.dzbar()
+    for idx in sorted(set(u_zbar._coeffs) | set(v_zbar._coeffs)):
+        rows.append([u_zbar._coeffs.get(idx, 0j), v_zbar._coeffs.get(idx, 0j)])
+    u_z, v_z = u.dz(), v.dz()
+    for idx in sorted(set(u_z._coeffs) | set(v_z._coeffs)):
+        rows.append([u_z._coeffs.get(idx, 0j), -v_z._coeffs.get(idx, 0j)])
+    a = np.array(rows, dtype=complex)
+    _, s, vh = np.linalg.svd(a / np.max(np.abs(a)))
+    if (s[-1] if len(s) == 2 else 0.0) > 1e-10:
+        return None, None
+    null = vh[-1].conjugate()
+    if abs(null[1]) >= abs(null[0]) * (1.0 - 1e-9):
+        denom = np.vdot(a[:, 0], a[:, 0])
+        return (-complex(np.vdot(a[:, 0], a[:, 1]) / denom) if denom != 0 else 0j), 1.0 + 0j
+    denom = np.vdot(a[:, 1], a[:, 1])
+    return 1.0 + 0j, (-complex(np.vdot(a[:, 1], a[:, 0]) / denom) if denom != 0 else 0j)
+
+
+def _matched_pairs(seed, count):
+    """Seeded pairs u = F + conj(G), v = c (F - conj(G)) with analytic F, G.
+
+    A third of them have integer coefficients and c in {1, i, -1, -i},
+    where |alpha| = |beta| exactly; a third have real-valued draws and a
+    unimodular c, where |alpha| = 1 up to roundoff; the rest have c of any
+    modulus.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in range(count):
+        integer = n % 3 == 0
+        f = random_symbol(rng, max_degree=5, analytic=True, integer=integer)
+        g = random_symbol(rng, max_degree=5, analytic=True, integer=integer).conjugate()
+        if integer:
+            c = (1, 1j, -1, -1j)[int(rng.integers(4))]
+        elif n % 3 == 1:
+            c = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        else:
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        pairs.append((f + g, c * (f - g)))
+    return pairs
+
+
 class TestClassifier:
+    @pytest.mark.parametrize("draw", [
+        pytest.param(lambda: [(u, v) for u, v, _ in harmonic_product_corpus()],
+                     id="criterion-08"),
+        pytest.param(lambda: _matched_pairs(26, 1200), id="matched-pairs")])
+    def test_witness_equals_svd_reference(self, draw, monkeypatch):
+        pairs = draw()
+        got = [classify_harmonic_product(u, v) for u, v in pairs]
+        monkeypatch.setattr("berezinlab.symbols._matched_combination",
+                            _svd_matched_combination)
+        assert got == [classify_harmonic_product(u, v) for u, v in pairs]
+        assert any(out.kind is HarmonicProductKind.MATCHED_COMBINATION for out in got)
+
     def test_both_analytic(self):
         out = classify_harmonic_product(W, W)
         assert out.kind is HarmonicProductKind.ANALYTIC_PAIR
