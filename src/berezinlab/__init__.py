@@ -1,6 +1,6 @@
 """Numerical laboratory for Berezin transforms on the Bergman space.
 
-Builds truncated Toeplitz, semicommutator-defect and Mobius-unitary
+Builds truncated Toeplitz, commutator-defect and Mobius-unitary
 operators on the unit disk, evaluates the Berezin transform by
 independent routes, and probes boundary-decay compactness indicators
 at desk scale.
@@ -20,8 +20,8 @@ from .berezin import (BerezinConfig, CommutatorReport, CovarianceCheck,
                       mean_value_transform, operator_tail_bound)
 from .diskgeom import DiskDomainError, disk_gap, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
-                        covariant_toeplitz, semicommutator_defect,
-                        toeplitz_exact, toeplitz_quadrature, unitary_uz)
+                        covariant_toeplitz, toeplitz_exact,
+                        toeplitz_quadrature, unitary_uz)
 from .quadrature import (DiskQuadrature, QuadratureWarning, build_rule,
                          monomial_moment)
 from .symbols import (BlaschkeProduct, HarmonicProductKind, MonomialSymbol,

@@ -614,14 +614,12 @@ class DecayProfile:
                 for s in self.samples]
 
 
-def decay_profile(fieldfn, path: PathSpec = PathSpec(), radii=None,
+def decay_profile(fieldfn, path: PathSpec = PathSpec(), *, radii,
                   label: str = "") -> DecayProfile:
-    """Sample a field along the path at the given radii (dyadic default).
+    """Sample a field along the path at the given radii.
 
     A field returns a value, or a (value, flag) pair to flag its sample.
     """
-    if radii is None:
-        radii = dyadic_radii()
     samples = []
     for r in radii:
         z = complex(path.point(r))
@@ -656,21 +654,17 @@ class CommutatorReport:
     verdict: str
 
 
-def _analytic_derivative(f):
-    if isinstance(f, BlaschkeProduct):
-        return lambda z: f.derivative(z)
-    if isinstance(f, MonomialSymbol):
-        if not f.is_analytic():
+def _analytic_input(h):
+    """An indicator input's derivative at a point, its report entry and its zeros."""
+    if isinstance(h, BlaschkeProduct):
+        return (h.derivative,
+                {"kind": "blaschke", "zeros": [[a.real, a.imag] for a in h.zeros]},
+                h.zeros)
+    if isinstance(h, MonomialSymbol):
+        if not h.is_analytic():
             raise ValueError("indicator inputs must be analytic")
-        df = f.dz()
-        return lambda z: df.evaluate(z)
-    raise TypeError(f"unsupported indicator input {type(f).__name__}")
-
-
-def _describe(f) -> dict:
-    if isinstance(f, BlaschkeProduct):
-        return {"kind": "blaschke", "zeros": [[a.real, a.imag] for a in f.zeros]}
-    return {"kind": "symbol", "terms": f.to_string()}
+        return h.dz().evaluate, {"kind": "symbol", "terms": h.to_string()}, ()
+    raise TypeError(f"unsupported indicator input {type(h).__name__}")
 
 
 def commutator_compactness_indicator(f, g, radii,
@@ -686,26 +680,22 @@ def commutator_compactness_indicator(f, g, radii,
     at the final path sample; truncation flags and the reliable prefix
     are reported alongside so a flagged tail can be discounted.
     """
-    df, dg = _analytic_derivative(f), _analytic_derivative(g)
+    (df, f_entry, f_zeros), (dg, g_entry, g_zeros) = _analytic_input(f), _analytic_input(g)
 
     def deriv_quantity(z):
         zv = disk_value(z)
         return disk_gap(zv) ** 2 * abs(df(zv) * dg(zv))
 
-    deriv_profile = decay_profile(deriv_quantity, path, radii,
+    deriv_profile = decay_profile(deriv_quantity, path, radii=radii,
                                   label="invariant-derivative-product")
 
     defect = analytic_commutator_defect(f, g, dim)
     berezin_profile = decay_profile(
         lambda z: (abs(berezin_operator(defect, z)), operator_flag(dim, z)),
-        path, radii, label="defect-berezin")
+        path, radii=radii, label="defect-berezin")
 
-    zeros = []
-    for h in (f, g):
-        if isinstance(h, BlaschkeProduct):
-            zeros.extend(h.zeros)
     zero_samples = tuple((a, complex(deriv_quantity(a)))
-                         for a in dict.fromkeys(zeros))
+                         for a in dict.fromkeys((*f_zeros, *g_zeros)))
 
     reliable = berezin_profile.reliable()
     final_deriv = float(deriv_profile.magnitudes()[-1])
@@ -728,7 +718,7 @@ def commutator_compactness_indicator(f, g, radii,
         residuals["zero_peak"] = max(mags)
 
     return CommutatorReport(
-        inputs={"f": _describe(f), "g": _describe(g)},
+        inputs={"f": f_entry, "g": g_entry},
         config={"dim": dim, "threshold": DECAY_THRESHOLD, "radii": list(map(float, radii)),
                 "angle": path.angle, "aperture": path.aperture},
         deriv_profile=deriv_profile,
@@ -777,23 +767,28 @@ def covariance_field_check(op: TruncatedOperator, z, w) -> CovarianceCheck:
 # ---------------------------------------------------------------------------
 
 def fit_operator_from_berezin(fieldfn, dim: int) -> TruncatedOperator:
-    """Recover a dim x dim matrix from samples of its Berezin transform.
+    """Recover a dim x dim matrix (1 <= dim <= 12) from its Berezin transform.
 
-    Solves the least-squares inversion of the transform's double power
-    series on a 15 x 24 polar grid inside |z| <= 0.8; this reconstructs
-    the matrix that generated the samples, numerically witnessing that
-    the transform determines the operator.  ``fieldfn`` is called once,
-    with the 360 grid points as a 1-d array, and returns the 360 samples.
+    ``fieldfn`` is called once, with the 360 points of a 15 x 24 polar
+    grid inside |z| <= 0.8 as a 1-d array, and returns the samples.  On
+    the ring of radius r, sample / (1 - r^2)^2 is
+    sum_d e^{i d theta} sum_p M[p+d, p] sqrt((p+1)(p+d+1)) r^(2p+d): an FFT
+    over the angles splits off each diagonal d, fitted by least squares.
     """
-    # Per angular harmonic the fit sees radial powers up to twice the
-    # matrix dimension plus the kernel-prefactor degree, so the radius
-    # count must comfortably exceed the fitted dimension.
+    if not 1 <= dim <= 12:
+        raise ValueError("dim must be in 1..12 for the 24-angle grid")
+    radii = np.linspace(0.1, 0.8, 15)
     angles = 2.0 * np.pi * np.arange(24) / 24
-    points = np.multiply.outer(np.linspace(0.1, 0.8, 15), np.exp(1j * angles)).ravel()
-    b = np.asarray(fieldfn(points), dtype=complex)
-    # sample i is conj(c[i]) . S c[i], c[i] = kernel_coefficients(points[i], dim)
-    c = kernel_coefficients(points, dim)
-    design = (np.conj(c)[:, :, None] * c[:, None, :]).reshape(len(points), -1)
-
-    coeffs, *_ = np.linalg.lstsq(design, b, rcond=None)
-    return TruncatedOperator(coeffs.reshape(dim, dim))
+    points = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
+    b = np.asarray(fieldfn(points), dtype=complex).reshape(15, 24)
+    gap = 1.0 - radii * radii
+    modes = np.fft.fft(b / (gap * gap)[:, None], axis=1) / 24  # mode d at column d mod 24
+    # r^e for e = 0 .. 2 dim - 2 as running products, the same bits on every SIMD target
+    powers = np.cumprod(np.column_stack([np.ones(15)] + [radii] * (2 * dim - 2)), axis=1)
+    m = np.zeros((dim, dim), dtype=complex)
+    for d in range(1 - dim, dim):
+        p = np.arange(max(0, -d), dim - max(0, d))
+        radial = powers[:, abs(d):2 * dim - 1 - abs(d):2]  # r^(2p+d) for these p
+        x, *_ = np.linalg.lstsq(radial, modes[:, d % 24], rcond=None)
+        m[p + d, p] = x / np.sqrt((p + 1.0) * (p + d + 1.0))
+    return TruncatedOperator(m)

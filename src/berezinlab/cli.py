@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -42,7 +43,16 @@ EXIT_NUMERICAL = 5
 # Largest array a command may build, checked before it is built.
 MATRIX_BUDGET_BYTES = 16 * 4096 ** 2
 
-ROUTE_ORDER = ("series", "quadrature", "operator")
+# berezin's routes in report order: (values at a list of points, flag at one
+# point), each called with the symbol, rule and operator, then the point(s).
+ROUTES = {
+    "series": (lambda u, rule, op, zs: bz.berezin_symbol_series(u, zs),
+               lambda u, rule, op, z: ""),
+    "quadrature": (lambda u, rule, op, zs: bz.berezin_symbol_quadrature(u, zs, rule),
+                   lambda u, rule, op, z: bz.quadrature_flag(rule, z, u.total_degree)),
+    "operator": (lambda u, rule, op, zs: bz.berezin_operator(op, zs),
+                 lambda u, rule, op, z: bz.operator_flag(op.dim, z)),
+}
 
 
 class CLIError(Exception):
@@ -198,42 +208,20 @@ def cmd_berezin(args) -> int:
                            n_angular=args.ntheta)
     symbol = MonomialSymbol.from_string(args.symbol)
     zs = _parse_z_list(args.z)
-    routes = ROUTE_ORDER if args.route == "all" else (args.route,)
-    rule = cfg.rule() if "quadrature" in routes else None
-    operator = toeplitz_exact(symbol, cfg.truncation) if "operator" in routes else None
+    routes = tuple(ROUTES) if args.route == "all" else (args.route,)
+    built = (symbol, cfg.rule() if "quadrature" in routes else None,
+             toeplitz_exact(symbol, cfg.truncation) if "operator" in routes else None)
+    values_at = {route: ROUTES[route][0](*built, zs).tolist() for route in routes}
 
-    values_at = {}  # each route once, for all points
-    for route in routes:
-        if route == "series":
-            values_at[route] = bz.berezin_symbol_series(symbol, zs).tolist()
-        elif route == "quadrature":
-            values_at[route] = bz.berezin_symbol_quadrature(symbol, zs, rule).tolist()
-        else:
-            values_at[route] = bz.berezin_operator(operator, zs).tolist()
-
-    results = []
-    rows = []
-    flagged = False
+    results, rows, flagged = [], [], False
     for p, z in enumerate(zs):
-        values = {}
-        flags = {}
-        for route in routes:
-            value = values_at[route][p]
-            if route == "series":
-                flag = ""
-            elif route == "quadrature":
-                flag = bz.quadrature_flag(rule, z, symbol.total_degree)
-            else:
-                flag = bz.operator_flag(cfg.truncation, z)
-            values[route] = value
-            flags[route] = flag
-            flagged = flagged or bool(flag)
-            rows.append((z.real, z.imag, route, value.real, value.imag, flag))
-        spread = 0.0
-        vals = list(values.values())
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                spread = max(spread, abs(vals[i] - vals[j]))
+        values = {route: values_at[route][p] for route in routes}
+        flags = {route: ROUTES[route][1](*built, z) for route in routes}
+        flagged = flagged or any(flags.values())
+        rows.extend((z.real, z.imag, route, values[route].real, values[route].imag,
+                     flags[route]) for route in routes)
+        spread = max([0.0, *(abs(a - b) for a, b
+                             in itertools.combinations(values.values(), 2))])
         results.append({"z": z, "values": values, "flags": flags,
                         "max_route_residual": spread})
 
@@ -360,7 +348,7 @@ def cmd_decay(args) -> int:
         else:
             fieldfn = lambda z: bz.localization_norm(u, z)
 
-    profile = bz.decay_profile(fieldfn, path, radii, label=args.field)
+    profile = bz.decay_profile(fieldfn, path, radii=radii, label=args.field)
     payload = {"inputs": {"command": "decay", "field": args.field,
                           "symbol": args.symbol, "factors": args.factor},
                "config": {**_dump_config(args), **POLICY},
@@ -408,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="transform of a polynomial symbol at given points")
     p.add_argument("--symbol", required=True, help="terms 'j,k:re+imi' joined by ';'")
     p.add_argument("--z", required=True, help="comma-separated complex points")
-    p.add_argument("--route", choices=("series", "quadrature", "operator", "all"),
-                   default="all")
+    p.add_argument("--route", choices=(*ROUTES, "all"), default="all")
 
     p = command("toeplitz", cmd_toeplitz, "out trunc nr ntheta",
                 help="dump a truncated Toeplitz matrix as JSON")

@@ -300,20 +300,6 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
     return TruncatedOperator._adopt(v.conj() @ tv.T)
 
 
-def semicommutator_defect(u: MonomialSymbol, v: MonomialSymbol,
-                          dim: int) -> TruncatedOperator:
-    """The defect 2*T_{uv} - T_u T_v - T_v T_u at truncation ``dim``.
-
-    For bounded harmonic u, v this finite matrix represents the
-    Hankel-product combination whose Berezin decay at the boundary
-    signals compactness; Hankel operators are never built explicitly.
-    """
-    t_u = toeplitz_exact(u, dim)
-    t_v = toeplitz_exact(v, dim)
-    t_uv = toeplitz_exact(u * v, dim)
-    return 2.0 * t_uv - t_u @ t_v - t_v @ t_u
-
-
 def analytic_commutator_defect(f, g, dim: int) -> TruncatedOperator:
     """Defect for analytic f, g, where it reduces to [T_conj(f), T_g].
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import berezin as bz
 from .diskgeom import disk_gap, mobius_eval
-from .operators import (TruncatedOperator, covariant_toeplitz, semicommutator_defect,
-                        toeplitz_exact, toeplitz_quadrature, unitary_uz)
+from .operators import (TruncatedOperator, covariant_toeplitz, toeplitz_exact,
+                        toeplitz_quadrature, unitary_uz)
 from .quadrature import build_rule, monomial_moment
 from .symbols import HarmonicProductKind, MonomialSymbol, classify_harmonic_product
 
@@ -353,8 +353,10 @@ def battery_unitary_orthonormality():
 
 def semicommutator_residual(u: MonomialSymbol, v: MonomialSymbol, points,
                             dim: int) -> float:
-    """Worst |(uv)~ - uv - (T_uv - T_u T_v)~| over points, at truncation dim."""
-    defect = semicommutator_defect(u, v, dim)
+    """Worst |(uv)~ - uv - D~| over points, D the semicommutator defect
+    2 T_uv - T_u T_v - T_v T_u at truncation dim."""
+    t_u, t_v = toeplitz_exact(u, dim), toeplitz_exact(v, dim)
+    defect = 2.0 * toeplitz_exact(u * v, dim) - t_u @ t_v - t_v @ t_u
     batched = zip(points, bz.berezin_symbol_series(u * v, points).tolist(),
                   bz.berezin_operator(defect, points).tolist())
     worst = 0.0

@@ -55,7 +55,8 @@ def format_complex(value: complex) -> str:
 class MonomialSymbol:
     """Finite sum of monomials w^j conj(w)^k with complex coefficients.
 
-    Stored sparsely as {(j, k): coefficient}; exact zeros are dropped so
+    Stored sparsely as {(j, k): coefficient} in sorted (j, k) order, so
+    every route sums the terms in one order; exact zeros are dropped so
     the structural tests (harmonicity, analyticity) are exact.
     """
 
@@ -73,13 +74,13 @@ class MonomialSymbol:
                     raise ValueError(f"coefficient of term {j},{k} is not finite")
                 if c != 0:
                     table[(j, k)] = table.get((j, k), 0j) + c
-        self._coeffs = {idx: c for idx, c in table.items() if c != 0}
+        self._coeffs = {idx: c for idx, c in sorted(table.items()) if c != 0}
 
     @classmethod
     def _adopt(cls, table: dict) -> "MonomialSymbol":
         """Keep a table the class's own arithmetic built, less its exact zeros."""
         sym = object.__new__(cls)
-        sym._coeffs = {idx: c for idx, c in table.items() if c != 0}
+        sym._coeffs = {idx: c for idx, c in sorted(table.items()) if c != 0}
         return sym
 
     # -- constructors -------------------------------------------------
@@ -146,7 +147,7 @@ class MonomialSymbol:
 
     def to_string(self) -> str:
         parts = [f"{j},{k}:{format_complex(c)}"
-                 for (j, k), c in sorted(self._coeffs.items())]
+                 for (j, k), c in self._coeffs.items()]
         return ";".join(parts) if parts else "0,0:0"
 
     # -- algebra -------------------------------------------------------

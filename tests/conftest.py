@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from berezinlab.diskgeom import disk_gap, disk_value
+from berezinlab.operators import toeplitz_exact
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import HarmonicProductKind, MonomialSymbol
 
@@ -76,6 +77,12 @@ def fsum_node_sum(weights, values) -> complex:
     """sum_n weights_n values_n with the products summed correctly rounded (math.fsum)."""
     terms = weights * values
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def semicommutator_defect(u, v, dim: int):
+    """2 T_uv - T_u T_v - T_v T_u at truncation dim, in semicommutator_residual's order."""
+    t_u, t_v = toeplitz_exact(u, dim), toeplitz_exact(v, dim)
+    return 2.0 * toeplitz_exact(u * v, dim) - t_u @ t_v - t_v @ t_u
 
 
 def harmonic_product_corpus():

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from berezinlab import berezin as bz
 from berezinlab import suites
 from berezinlab.diskgeom import DiskDomainError, disk_gap, mobius_eval
-from berezinlab.operators import (TruncatedOperator, semicommutator_defect,
-                                  toeplitz_exact)
+from berezinlab.operators import TruncatedOperator, toeplitz_exact
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
 from conftest import (fsum_node_sum, kernel_density_grid, laplacian_fd,
-                      node_value_transform, node_weights)
+                      node_value_transform, node_weights, semicommutator_defect)
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -593,8 +592,14 @@ class TestDecayProfiles:
     def test_harmonic_difference_vanishes(self):
         u = MonomialSymbol({(2, 0): 1 - 1j, (0, 1): 0.5})
         field = lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z)
-        profile = bz.decay_profile(field, bz.PathSpec(angle=0.7), bz.dyadic_radii(12))
+        profile = bz.decay_profile(field, bz.PathSpec(angle=0.7), radii=bz.dyadic_radii(12))
         assert np.max(profile.magnitudes()) < 1e-8
+
+    def test_radii_required(self):
+        with pytest.raises(TypeError):
+            bz.decay_profile(lambda z: 0.0)
+        with pytest.raises(TypeError):  # keyword-only
+            bz.decay_profile(lambda z: 0.0, bz.PathSpec(), [0.5])
 
     def test_invariant_weight_arithmetic(self):
         field = lambda z: (1 - abs(z) ** 2) ** 2
@@ -685,6 +690,10 @@ class TestCommutatorIndicator:
         with pytest.raises(ValueError):
             bz.commutator_compactness_indicator(WBAR, W, bz.dyadic_radii(3), dim=16)
 
+    def test_rejects_other_input_types(self):
+        with pytest.raises(TypeError, match="unsupported indicator input complex"):
+            bz.commutator_compactness_indicator(W, 1j, bz.dyadic_radii(3), dim=16)
+
 
 class TestCovarianceField:
     def test_parity_case(self):
@@ -732,6 +741,19 @@ class TestInjectivityFit:
         fitted = bz.fit_operator_from_berezin(field, 6)
         assert shapes == [(360,)]  # one call, with the whole grid
         assert np.max(np.abs(fitted.matrix - m)) < 1e-8
+
+    def test_recovers_largest_unaliased_size(self):
+        # dim 12 uses diagonals -11..11, all distinct modulo the 24 angles
+        rng = np.random.default_rng(25)
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        op = TruncatedOperator(m)
+        fitted = bz.fit_operator_from_berezin(lambda z: bz.berezin_operator(op, z), 12)
+        assert np.max(np.abs(fitted.matrix - m)) < 1e-6
+
+    @pytest.mark.parametrize("dim", [0, 13])
+    def test_refuses_sizes_the_grid_aliases(self, dim):
+        with pytest.raises(ValueError, match="dim must be in 1..12"):
+            bz.fit_operator_from_berezin(lambda z: np.zeros(len(z), complex), dim)
 
     def test_semicommutator_transform_identity(self):
         # (uv)~ - u v equals the transform of the defect, pointwise

@@ -472,6 +472,19 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_term_order_does_not_move_output(self, capsys):
+        # the symbol keeps its terms in sorted (j, k) order, so every route
+        # sums them in one order however they were written; the report's
+        # inputs echo --symbol as given, so they are left out of the compare
+        reports = []
+        for terms in ("3,1:1;0,2:0.5i;2,2:-2", "0,2:0.5i;2,2:-2;3,1:1"):
+            assert run(["decay", "--field", "invariant-laplacian", "--symbol", terms,
+                        "--kmax", "12", "--theta", "0.3", "--aperture", "0.5"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("inputs")["symbol"] == terms
+            reports.append(json.dumps(payload))
+        assert reports[0] == reports[1]
+
     def test_suite_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["identity-suite", "--only", "symbol-calculus", "--format", "csv"]

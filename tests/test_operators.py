@@ -6,11 +6,11 @@ import pytest
 from berezinlab import operators
 from berezinlab.berezin import berezin_operator, kernel_coefficients
 from berezinlab.operators import (TruncatedOperator, analytic_commutator_defect,
-                                  covariant_toeplitz, semicommutator_defect,
-                                  toeplitz_exact, toeplitz_quadrature, unitary_uz)
+                                  covariant_toeplitz, toeplitz_exact,
+                                  toeplitz_quadrature, unitary_uz)
 from berezinlab.quadrature import build_rule, monomial_moment
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
-from conftest import node_value_transform
+from conftest import node_value_transform, semicommutator_defect
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
