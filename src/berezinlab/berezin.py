@@ -47,6 +47,8 @@ from .quadrature import (BLOCK_NODES, DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL,
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
+# Terms per block of the series route's shared table.
+SERIES_BLOCK = 512
 # Bound on the geometric tail at which the series route stops summing.
 SERIES_TOL = 1e-12
 # Error bound at or beyond which a sample carries a reliability flag.
@@ -184,7 +186,7 @@ def berezin_symbol_series(u: MonomialSymbol, z):
 
     Linear over the symbol's terms.  How many terms are summed depends
     only on t = |z|^2, so all monomial series share one table: block by
-    block, a (terms x 512) array of (m+1)(m+d+1) t^m / (max(j, k)+m+1),
+    block, a (terms x SERIES_BLOCK) array of (m+1)(m+d+1) t^m / (max(j, k)+m+1),
     d = |j - k|, is summed along its rows, until the remaining geometric
     tail is below SERIES_TOL, or fails after SERIES_MAX_TERMS terms
     (_series_block_count).  Each sum then gets its term's (1-t)^2 z^d,
@@ -192,7 +194,7 @@ def berezin_symbol_series(u: MonomialSymbol, z):
 
     A complex for one point, a complex array for a 1-d array of points.
     The points of a chunk share each block's table, a (points x terms x
-    512) array, and each point sums its own count of blocks, so every
+    SERIES_BLOCK) array, and each point sums its own count of blocks, so every
     entry is bitwise its one-point value.
     """
     zv, gap = _disk_points(z)
@@ -210,36 +212,36 @@ def berezin_symbol_series(u: MonomialSymbol, z):
             acc = np.zeros((len(zs), len(coeffs)))
             for block in range(blocks.max()):
                 live = blocks > block
-                acc[live] += _series_block_sums(t[live][:, None, None], 512 * block, d, top)
+                acc[live] += _series_block_sums(t[live][:, None, None], block, d, top)
             return [_series_total(coeffs, v, g, sums)
                     for v, g, sums in zip(zs, gap.tolist(), acc.tolist())]
-        return _by_chunks(route, zv, gap, 512 * len(coeffs))
+        return _by_chunks(route, zv, gap, SERIES_BLOCK * len(coeffs))
     t = abs(zv) ** 2
     acc = np.zeros(len(coeffs))
     for block in range(_series_block_count(t)):
-        acc += _series_block_sums(t, 512 * block, d, top)
+        acc += _series_block_sums(t, block, d, top)
     return _series_total(coeffs, zv, gap, acc.tolist())
 
 
-def _series_block_sums(t, m0: int, d: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Row sums of terms m0 .. m0 + 511 of the shared table, per point of t's leading axis."""
-    m = np.arange(m0, m0 + 512, dtype=float)
+def _series_block_sums(t, block: int, d: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Row sums of block ``block`` of the shared table, per point of t's leading axis."""
+    m = np.arange(block * SERIES_BLOCK, (block + 1) * SERIES_BLOCK, dtype=float)
     table = (m + 1.0) * (m + d + 1.0) * t ** m
     table /= top + m + 1.0
     return np.sum(table, axis=-1)
 
 
 def _series_block_count(t: float) -> int:
-    """How many 512-term blocks the series route sums at t = |z|^2."""
-    m0 = 512
+    """How many SERIES_BLOCK-term blocks the series route sums at t = |z|^2."""
+    m0 = SERIES_BLOCK
     # tail * (1-t)^2 <= t^{m0} (m0 (1-t) + 1) since (m+d+1)/(top+m+1) <= 1
     while t ** m0 * (m0 * (1.0 - t) + 1.0) >= SERIES_TOL:
         if m0 >= SERIES_MAX_TERMS:
             raise RuntimeError(
                 f"series route did not reach tol={SERIES_TOL} within {SERIES_MAX_TERMS} terms "
                 f"at |z|^2={t}; use the exact or quadrature route near the boundary")
-        m0 += 512
-    return m0 // 512
+        m0 += SERIES_BLOCK
+    return m0 // SERIES_BLOCK
 
 
 def _series_total(coeffs: dict, zv: complex, gap: float, sums: list) -> complex:
@@ -525,7 +527,7 @@ def factored_harmonic_invariant_laplacian(factors, z) -> complex:
         raise ValueError("need at least one factor")
     for u in factors:
         if not u.is_harmonic():
-            raise ValueError("all factors must be harmonic symbols")
+            raise ValueError(f"factor {u.to_string()!r} is not harmonic")
     product = reduce(lambda a, b: a * b, factors)
     zv = disk_value(z)
     return disk_gap(zv) ** 2 * product.laplacian().evaluate(zv)
@@ -654,16 +656,17 @@ class CommutatorReport:
     verdict: str
 
 
-def _analytic_input(h):
-    """An indicator input's derivative at a point, its report entry and its zeros."""
+def _analytic_input(h, count: int):
+    """An indicator input's derivative at a point, report entry, zeros and defect
+    symbol: h itself, or a Blaschke product's first ``count`` Taylor terms."""
     if isinstance(h, BlaschkeProduct):
         return (h.derivative,
                 {"kind": "blaschke", "zeros": [[a.real, a.imag] for a in h.zeros]},
-                h.zeros)
+                h.zeros, MonomialSymbol({(n, 0): c for n, c in enumerate(h.taylor(count))}))
     if isinstance(h, MonomialSymbol):
         if not h.is_analytic():
-            raise ValueError("indicator inputs must be analytic")
-        return h.dz().evaluate, {"kind": "symbol", "terms": h.to_string()}, ()
+            raise ValueError(f"symbol {h.to_string()!r} is not analytic")
+        return h.dz().evaluate, {"kind": "symbol", "terms": h.to_string()}, (), h
     raise TypeError(f"unsupported indicator input {type(h).__name__}")
 
 
@@ -680,7 +683,8 @@ def commutator_compactness_indicator(f, g, radii,
     at the final path sample; truncation flags and the reliable prefix
     are reported alongside so a flagged tail can be discounted.
     """
-    (df, f_entry, f_zeros), (dg, g_entry, g_zeros) = _analytic_input(f), _analytic_input(g)
+    df, f_entry, f_zeros, f_defect = f_input = _analytic_input(f, 2 * dim)
+    dg, g_entry, g_zeros, g_defect = f_input if g is f else _analytic_input(g, 2 * dim)
 
     def deriv_quantity(z):
         zv = disk_value(z)
@@ -689,7 +693,7 @@ def commutator_compactness_indicator(f, g, radii,
     deriv_profile = decay_profile(deriv_quantity, path, radii=radii,
                                   label="invariant-derivative-product")
 
-    defect = analytic_commutator_defect(f, g, dim)
+    defect = analytic_commutator_defect(f_defect, g_defect, dim)
     berezin_profile = decay_profile(
         lambda z: (abs(berezin_operator(defect, z)), operator_flag(dim, z)),
         path, radii=radii, label="defect-berezin")

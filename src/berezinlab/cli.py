@@ -55,6 +55,16 @@ ROUTES = {
 }
 
 
+# decay's symbol fields in --field order: each builds its field, a function
+# of the point, from the parsed --symbol once per profile.
+SYMBOL_FIELDS = {
+    "berezin-minus-symbol": lambda u: lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z),
+    "invariant-laplacian": lambda u: functools.partial(bz.berezin_symbol_exact,
+                                                       bz.invariant_laplacian_symbol(u)),
+    "localization": lambda u: functools.partial(bz.localization_norm, u),
+}
+
+
 class CLIError(Exception):
     """An input error the CLI finds itself, not argparse or a parser."""
 
@@ -273,10 +283,7 @@ def _parse_indicator_input(symbol_text, blaschke_text, other: BlaschkeProduct | 
     if (symbol_text is None) == (blaschke_text is None):
         raise CLIError("give exactly one of --f/--blaschke-f (resp. --g/--blaschke-g)")
     if symbol_text is not None:
-        sym = MonomialSymbol.from_string(symbol_text)
-        if not sym.is_analytic():
-            raise CLIError(f"symbol {symbol_text!r} is not analytic")
-        return sym
+        return MonomialSymbol.from_string(symbol_text)
     if blaschke_text == "same":
         if other is None:
             raise CLIError("'same' needs --blaschke-f to copy from")
@@ -328,29 +335,22 @@ def cmd_decay(args) -> int:
     path = bz.PathSpec(angle=args.theta, aperture=args.aperture)
     radii = bz.dyadic_radii(args.kmax)
 
+    u = None if args.symbol is None else MonomialSymbol.from_string(args.symbol)
+    factors = [MonomialSymbol.from_string(text) for text in args.factor or ()]
+
     if args.field == "factored-laplacian":
-        if not args.factor:
+        if not factors:
             raise CLIError("factored-laplacian needs at least one --factor")
-        factors = [MonomialSymbol.from_string(text) for text in args.factor]
-        for sym in factors:
-            if not sym.is_harmonic():
-                raise CLIError(f"factor {sym.to_string()!r} is not harmonic")
         fieldfn = lambda z: bz.factored_harmonic_invariant_laplacian(factors, z)
+    elif u is None:
+        raise CLIError(f"field {args.field!r} needs --symbol")
     else:
-        if args.symbol is None:
-            raise CLIError(f"field {args.field!r} needs --symbol")
-        u = MonomialSymbol.from_string(args.symbol)
-        if args.field == "berezin-minus-symbol":
-            fieldfn = lambda z: bz.berezin_symbol_exact(u, z) - u.evaluate(z)
-        elif args.field == "invariant-laplacian":
-            lap = bz.invariant_laplacian_symbol(u)
-            fieldfn = lambda z: bz.berezin_symbol_exact(lap, z)
-        else:
-            fieldfn = lambda z: bz.localization_norm(u, z)
+        fieldfn = SYMBOL_FIELDS[args.field](u)
 
     profile = bz.decay_profile(fieldfn, path, radii=radii, label=args.field)
     payload = {"inputs": {"command": "decay", "field": args.field,
-                          "symbol": args.symbol, "factors": args.factor},
+                          "symbol": None if u is None else u.to_string(),
+                          "factors": [v.to_string() for v in factors] or None},
                "config": {**_dump_config(args), **POLICY},
                "profiles": [_profile_payload(profile)],
                "residuals": {"final_magnitude": float(profile.magnitudes()[-1])}}
@@ -427,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("decay", cmd_decay, "out format",
                 help="sample a boundary-decay field along a path")
     p.add_argument("--field", required=True,
-                   choices=("berezin-minus-symbol", "invariant-laplacian",
-                            "localization", "factored-laplacian"))
+                   choices=(*SYMBOL_FIELDS, "factored-laplacian"))
     p.add_argument("--symbol", default=None)
     p.add_argument("--factor", action="append", default=None,
                    help="harmonic factor symbol (repeatable)")

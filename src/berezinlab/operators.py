@@ -23,7 +23,7 @@ import numpy as np
 
 from .diskgeom import disk_gap, disk_value
 from .quadrature import BLOCK_NODES, DiskQuadrature, check_rule_for_degree
-from .symbols import BlaschkeProduct, MonomialSymbol
+from .symbols import MonomialSymbol
 
 
 class TruncatedOperator:
@@ -301,27 +301,17 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
 
 
 def analytic_commutator_defect(f, g, dim: int) -> TruncatedOperator:
-    """Defect for analytic f, g, where it reduces to [T_conj(f), T_g].
+    """Defect for analytic symbols f, g, where it reduces to [T_conj(f), T_g].
 
-    A Blaschke input enters as its first 2 dim Taylor terms.  T_g T_conj(f)
-    is lower- times upper-triangular, so the dim x dim blocks give its
-    leading block exactly; T_conj(f) T_g = A_f^H A_g, A_h the first dim
-    columns of T_h at truncation 2 dim, is exact for polynomials of
-    degree <= dim and cuts a Blaschke tail at row 2 dim.
+    T_g T_conj(f) is lower- times upper-triangular, so the dim x dim
+    blocks give its leading block exactly; T_conj(f) T_g = A_f^H A_g, A_h
+    the first dim columns of T_h at truncation 2 dim, is exact for
+    polynomials of degree <= dim and cuts a longer one at row 2 dim.
     """
+    if not (f.is_analytic() and g.is_analytic()):
+        raise ValueError("analytic defect requires analytic symbols")
     big = 2 * dim
-    a_f = toeplitz_exact(_analytic_symbol(f, big), big).matrix[:, :dim]
-    a_g = a_f if g is f else toeplitz_exact(_analytic_symbol(g, big), big).matrix[:, :dim]
+    a_f = toeplitz_exact(f, big).matrix[:, :dim]
+    a_g = a_f if g is f else toeplitz_exact(g, big).matrix[:, :dim]
     m = a_f.conj().T @ a_g - a_g[:dim] @ a_f[:dim].conj().T
     return TruncatedOperator._adopt(m)
-
-
-def _analytic_symbol(h, count: int) -> MonomialSymbol:
-    """h itself, or a Blaschke product's first ``count`` Taylor terms as a symbol."""
-    if isinstance(h, BlaschkeProduct):
-        return MonomialSymbol({(n, 0): c for n, c in enumerate(h.taylor(count))})
-    if isinstance(h, MonomialSymbol):
-        if not h.is_analytic():
-            raise ValueError("analytic defect requires analytic symbols")
-        return h
-    raise TypeError(f"unsupported analytic symbol {type(h).__name__}")

@@ -435,30 +435,27 @@ class BlaschkeProduct:
         return np.prod(self._factors(w), axis=0)
 
     def derivative(self, w) -> complex:
-        return complex(self.derivative_array(np.asarray([complex(w)]))[0])
-
-    def derivative_array(self, w: np.ndarray) -> np.ndarray:
         """B'(w) by the explicit product rule, finite at zeros of B.
 
         B' = sum_k f_k' * prod_{j != k} f_j, assembled from prefix and
         suffix partial products so no division by a factor occurs.
         """
-        w = np.asarray(w, dtype=complex)
+        w = np.asarray([complex(w)])
         if not self.zeros:
-            return np.zeros_like(w)
+            return 0j
         factors = self._factors(w)
         a = np.asarray(self.zeros, dtype=complex)[:, None]
         gaps = np.array([disk_gap(b) for b in self.zeros])[:, None]
         derivs = -gaps / (1.0 - np.conj(a) * w[None, :]) ** 2
 
         n = len(self.zeros)
-        prefix = np.ones((n + 1, w.size), dtype=complex)
-        suffix = np.ones((n + 1, w.size), dtype=complex)
+        prefix = np.ones((n + 1, 1), dtype=complex)
+        suffix = np.ones((n + 1, 1), dtype=complex)
         for k in range(n):
             prefix[k + 1] = prefix[k] * factors[k]
         for k in range(n - 1, -1, -1):
             suffix[k] = suffix[k + 1] * factors[k]
-        return np.sum(derivs * prefix[:n] * suffix[1:], axis=0)
+        return complex(np.sum(derivs * prefix[:n] * suffix[1:], axis=0)[0])
 
     def taylor(self, count: int) -> np.ndarray:
         """First ``count`` Taylor coefficients of B at the origin.

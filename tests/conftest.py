@@ -85,6 +85,11 @@ def semicommutator_defect(u, v, dim: int):
     return 2.0 * toeplitz_exact(u * v, dim) - t_u @ t_v - t_v @ t_u
 
 
+def taylor_symbol(b, count: int) -> MonomialSymbol:
+    """A Blaschke product's first ``count`` Taylor terms, as the commutator indicator cuts it."""
+    return MonomialSymbol({(n, 0): c for n, c in enumerate(b.taylor(count))})
+
+
 def harmonic_product_corpus():
     """Acceptance criterion 8's pairs (u, v, expected kind) of the harmonic-product classifier."""
     A = HarmonicProductKind.ANALYTIC_PAIR

@@ -263,6 +263,29 @@ class TestExactRoute:
                 want = (1 - t) ** 2 * (z if j >= k else np.conj(z)) ** d * series
                 assert abs(bz.berezin_symbol_exact(u, z) - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("k", [10, 20, 30, 39])
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    @pytest.mark.parametrize("j,kbar", [(1, 1), (6, 0), (3, 2), (0, 4), (5, 5)])
+    def test_matches_mpmath_at_the_rim(self, j, kbar, angle, k):
+        # The closed form z^d (1 - K g + J K g^2 Phi), g = 1 - |z|^2,
+        # J = max, K = min, Phi = (-log g - sum_{i<=J} t^i/i) / t^(J+1),
+        # conjugated when j < k, taken at 80 digits from the stored z.
+        mpmath = pytest.importorskip("mpmath")
+        z = complex((1.0 - 2.0 ** -k) * np.exp(1j * angle))
+        big, small = max(j, kbar), min(j, kbar)
+        with mpmath.workdps(80):
+            zm = mpmath.mpc(z.real, z.imag)
+            t = abs(zm) ** 2
+            g = 1 - t
+            phi = (-mpmath.log(g) - mpmath.fsum(t ** i / i for i in range(1, big + 1))) \
+                / t ** (big + 1)
+            want = (zm if j >= kbar else mpmath.conj(zm)) ** abs(j - kbar) \
+                * (1 - small * g + big * small * g ** 2 * phi)
+            want = complex(want)
+        got = bz.berezin_symbol_exact(MonomialSymbol.monomial(j, kbar), z)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
 
 class TestQuadratureRoute:
     def test_constant(self, default_rule):
@@ -550,7 +573,7 @@ class TestLaplacians:
         got = bz.factored_harmonic_invariant_laplacian([W, WBAR], 0.5)
         # Delta(|w|^2) = 4, scaled by (1 - 0.25)^2
         assert got == pytest.approx(4 * 0.75 ** 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="factor '1,1:1' is not harmonic"):
             bz.factored_harmonic_invariant_laplacian([MOD2], 0.1)
 
 
@@ -689,6 +712,10 @@ class TestCommutatorIndicator:
     def test_rejects_nonanalytic(self):
         with pytest.raises(ValueError):
             bz.commutator_compactness_indicator(WBAR, W, bz.dyadic_radii(3), dim=16)
+
+    def test_nonanalytic_error_names_the_symbol(self):
+        with pytest.raises(ValueError, match="symbol '0,1:1' is not analytic"):
+            bz.commutator_compactness_indicator(WBAR, W, bz.dyadic_radii(3))
 
     def test_rejects_other_input_types(self):
         with pytest.raises(TypeError, match="unsupported indicator input complex"):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezinlab import berezin as bz
 from berezinlab import cli
@@ -17,7 +21,7 @@ from berezinlab.berezin import DEFAULT_CONFIG
 from berezinlab.operators import (TruncatedOperator, toeplitz_exact, toeplitz_quadrature,
                                   unitary_uz)
 from berezinlab.suites import BatteryResult
-from berezinlab.symbols import MonomialSymbol, parse_complex
+from berezinlab.symbols import MonomialSymbol, format_complex, parse_complex
 
 
 def run(args):
@@ -474,15 +478,13 @@ class TestDeterminism:
 
     def test_term_order_does_not_move_output(self, capsys):
         # the symbol keeps its terms in sorted (j, k) order, so every route
-        # sums them in one order however they were written; the report's
-        # inputs echo --symbol as given, so they are left out of the compare
+        # sums them in one order however they were written, and the report's
+        # inputs echo the parsed symbol: the whole stdout is the same
         reports = []
         for terms in ("3,1:1;0,2:0.5i;2,2:-2", "0,2:0.5i;2,2:-2;3,1:1"):
             assert run(["decay", "--field", "invariant-laplacian", "--symbol", terms,
                         "--kmax", "12", "--theta", "0.3", "--aperture", "0.5"]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload.pop("inputs")["symbol"] == terms
-            reports.append(json.dumps(payload))
+            reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
     def test_suite_deterministic(self, tmp_path):
@@ -691,6 +693,63 @@ class TestNonFiniteOutput:
         with pytest.raises(ArithmeticError, match=r"^entries\[1\]\[2\] is not finite"):
             cli._write_matrix(TruncatedOperator._adopt(m, finite=True), {}, args)
         assert capsys.readouterr().out == ""
+
+
+FUZZ_COEFFS = ("1", "3", "0.5i", "1e-300", "1e5", "1e150", "1e300", "1e308", "-1e308")
+FUZZ_RADII = (0.0, 0.3, 0.8, 0.99, 0.999, 0.9999999)
+FUZZ_ANGLES = ("0", "0.3", "2.5")
+
+
+def fuzz_symbol(analytic=False):
+    """Symbol text of one to three terms of total degree <= 6."""
+    j = st.integers(0, 6)
+    term = (st.tuples(j, st.just(0)) if analytic
+            else j.flatmap(lambda j: st.tuples(st.just(j), st.integers(0, 6 - j))))
+    terms = st.lists(st.tuples(term, st.sampled_from(FUZZ_COEFFS)), min_size=1, max_size=3)
+    return terms.map(lambda ts: ";".join(f"{j},{k}:{c}" for (j, k), c in ts))
+
+
+def fuzz_point():
+    return st.tuples(st.sampled_from(FUZZ_RADII), st.sampled_from(FUZZ_ANGLES)).map(
+        lambda ra: format_complex(ra[0] * np.exp(1j * float(ra[1]))))
+
+
+FUZZ_ARGVS = st.one_of(
+    st.tuples(st.just("berezin"), st.just("--symbol"), fuzz_symbol(),
+              st.lists(fuzz_point(), min_size=1, max_size=3).map(lambda zs: "--z=" + ",".join(zs)),
+              st.just("--route"), st.sampled_from((*cli.ROUTES, "all"))),
+    st.tuples(st.just("toeplitz"), st.just("--symbol"), fuzz_symbol(), st.just("--trunc"),
+              st.integers(1, 16).map(str)).flatmap(
+        lambda argv: st.sampled_from([argv, (*argv, "--quadrature")])),
+    st.tuples(st.just("decay"), st.just("--field"), st.sampled_from(tuple(cli.SYMBOL_FIELDS)),
+              st.just("--symbol"), fuzz_symbol(), st.just("--kmax"),
+              st.integers(1, 39).map(str), st.just("--theta"), st.sampled_from(FUZZ_ANGLES)),
+    st.tuples(st.just("commutator"), st.just("--f"), fuzz_symbol(analytic=True),
+              st.just("--g"), fuzz_symbol(analytic=True), st.just("--kmax"),
+              st.integers(1, 20).map(str), st.just("--trunc"), st.integers(8, 32).map(str)),
+)
+
+
+def refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(argv=FUZZ_ARGVS)
+    def test_clean_exit_and_finite_json(self, argv):
+        # every argv of the grammar exits with a documented code, warns
+        # about nothing and, on success, prints JSON with no NaN or Infinity
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(list(argv))
+        assert code in (0, 2, 3, 4, 5)
+        assert caught == []
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 
 class TestUsageErrors:

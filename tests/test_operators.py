@@ -10,7 +10,7 @@ from berezinlab.operators import (TruncatedOperator, analytic_commutator_defect,
                                   toeplitz_quadrature, unitary_uz)
 from berezinlab.quadrature import build_rule, monomial_moment
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
-from conftest import node_value_transform, semicommutator_defect
+from conftest import node_value_transform, semicommutator_defect, taylor_symbol
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -447,7 +447,7 @@ class TestAnalyticCommutatorDefect:
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_blaschke_inputs_accepted(self):
-        b = BlaschkeProduct([0.5, 0.75])
+        b = taylor_symbol(BlaschkeProduct([0.5, 0.75]), 24)
         defect = analytic_commutator_defect(b, b, 12)
         assert defect.dim == 12
         assert np.all(np.isfinite(defect.matrix))
@@ -460,7 +460,7 @@ class TestAnalyticCommutatorDefect:
         # T_conj(f) k_z = conj(f(z)) k_z.  The right side integrates the
         # product on the rule's nodes and never forms a Taylor series.
         f, g = BlaschkeProduct(f_zeros), BlaschkeProduct(g_zeros)
-        defect = analytic_commutator_defect(f, g, 64)
+        defect = analytic_commutator_defect(taylor_symbol(f, 128), taylor_symbol(g, 128), 64)
         nodes = default_rule.nodes
         product = np.conj(f.evaluate_array(nodes)) * g.evaluate_array(nodes)
         for z in (0.0, 0.3, 0.45 - 0.2j, 0.6j, -0.42 - 0.42j):
@@ -473,7 +473,7 @@ class TestAnalyticCommutatorDefect:
             analytic_commutator_defect(WBAR, W, 8)
 
     @pytest.mark.parametrize("make", [
-        lambda: BlaschkeProduct([0.5, 0.75j, -0.3 + 0.2j]),
+        lambda: taylor_symbol(BlaschkeProduct([0.5, 0.75j, -0.3 + 0.2j]), 64),
         lambda: MonomialSymbol({(0, 0): 0.5, (1, 0): 1.0, (3, 0): -2j})])
     def test_same_input_twice_matches_an_equal_copy(self, make):
         f = make()
