@@ -446,17 +446,31 @@ class ProductBerezin:
 
 
 def berezin_of_product(symbols, z, dim: int) -> ProductBerezin:
+    """The transform of a Toeplitz product and its conjugated-chain cross-check.
+
+    Both numbers read one entry of a product, so each is a vector chain,
+    O(n dim^2): ``value`` is <T_1 ... T_n k_z, k_z>, k_z taken through the
+    factors from the right, and ``covariant_value`` is the corner entry of
+    (U_z T_1 U_z) ... (U_z T_n U_z), the row e_0 taken through each U_z,
+    T_i, U_z from the left.  U_z enters as its plain dim x dim compression.
+    """
     symbols = list(symbols)
     if not symbols:
         raise ValueError("need at least one symbol")
-    mats = [toeplitz_exact(u, dim) for u in symbols]
-    product = reduce(lambda a, b: a @ b, mats)
-    value = berezin_operator(product, z)
+    mats = [toeplitz_exact(u, dim).matrix for u in symbols]
+    zv = disk_value(z)
+    kz = kernel_coefficients(zv, dim)
+    column = kz
+    for m in reversed(mats):
+        column = m @ column
+    value = complex(np.vdot(kz, column))
 
-    uz = unitary_uz(z, dim)
-    conjugated = [uz @ m @ uz for m in mats]
-    chain = reduce(lambda a, b: a @ b, conjugated)
-    covariant_value = complex(chain.matrix[0, 0])
+    uz = unitary_uz(zv, dim).matrix
+    row = np.zeros(dim, dtype=complex)
+    row[0] = 1.0
+    for m in mats:
+        row = row @ uz @ m @ uz
+    covariant_value = complex(row[0])
     return ProductBerezin(value, covariant_value, abs(value - covariant_value))
 
 

@@ -13,10 +13,17 @@ entries are exact:
     <T e_p, e_q> = sqrt((p+1)(q+1)) / (j + p + 1)   when j + p = k + q,
 
 which follows from the monomial moments of the normalized area measure.
+U_z is a rotated copy of a real matrix: with theta = arg z and r = |z|,
+phi_z(w) = e^{i theta} phi_r(e^{-i theta} w), so
+
+    U_z[q, p] = e^{i(p - q) theta} U_r[q, p],   U_r real,
+
+and ``covariant_toeplitz`` works with U_r in real arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -105,14 +112,18 @@ def toeplitz_exact(u: MonomialSymbol, dim: int) -> TruncatedOperator:
         raise ValueError("dim must be >= 1")
     m = np.zeros((dim, dim), dtype=complex)
     flat = m.reshape(-1)  # entry [q, p] sits at q * dim + p
-    for offset, lo, values in _toeplitz_diagonals(u, dim):
+    for offset, lo, c, root, over in _toeplitz_diagonals(u, dim):
         start = (lo + offset) * dim + lo
-        flat[start:start + len(values) * (dim + 1):dim + 1] += values
+        flat[start:start + len(root) * (dim + 1):dim + 1] += c * root / over
     return TruncatedOperator._adopt(m)
 
 
 def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
-    """Yield (offset, p_lo, entries): entries[i] is T_u[p_lo + i + offset, p_lo + i]."""
+    """Yield (offset, p_lo, c, root, over) for each term c w^j conj(w)^k.
+
+    The term's entry T[p + offset, p] is c root[i] / over[i] at p = p_lo + i,
+    with root = sqrt((p+1)(q+1)) and over = p + j + 1 real.
+    """
     index = np.arange(1.0, dim + 1.0)  # index[p] = p + 1
     for (j, k), c in u.coeffs.items():
         offset = j - k
@@ -123,7 +134,7 @@ def _toeplitz_diagonals(u: MonomialSymbol, dim: int):
         p1, q1 = index[p_lo:p_hi], index[p_lo + offset:p_hi + offset]
         # single sqrt of the product keeps perfect squares exact (u = 1
         # really is the identity matrix)
-        yield offset, p_lo, c * np.sqrt(p1 * q1) / (p1 + j)
+        yield offset, p_lo, c, np.sqrt(p1 * q1), p1 + j
 
 
 def toeplitz_quadrature(f, dim: int, rule: DiskQuadrature,
@@ -206,16 +217,19 @@ def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
     solve is skipped and D[n, p] = x[n].  Entries with n < rows read only
     smaller n, so the cut at ``rows`` is exact.  Column p is row p of a
     (cols, rows) array padded to whole blocks; its transposed view is
-    returned, scaled in place by sqrt(p+1) / sqrt(n+1).
+    returned, scaled in place by sqrt(p+1) / sqrt(n+1).  The array is
+    real for a real (not complex) point and complex otherwise.
     """
     zv = disk_value(z)
+    if not np.iscomplexobj(z):
+        zv = zv.real
     zc = zv.conjugate()
 
     solve = rows > 1 and abs(zc) >= 1e-18
     blocks = -(-rows // int(290.0 / -math.log10(abs(zv)))) if solve else 1
     width = -(-rows // blocks)
 
-    m = np.empty((cols, blocks, width), dtype=complex)
+    m = np.empty((cols, blocks, width), dtype=type(zv))
     flat = m.reshape(cols, blocks * width)
     flat[0] = -disk_gap(zv) * np.arange(1, flat.shape[1] + 1) * zc ** np.arange(flat.shape[1])
     if solve:
@@ -234,11 +248,12 @@ def _uz_columns(z, rows: int, cols: int) -> np.ndarray:
             grid[1:] += zc * power[-1] * grid[:-1, -1:]
         np.multiply(grid, power, out=grid)
     m = flat[:, :rows]
-    # scale the real and imaginary parts as floats: (x * s) / s == x for
-    # x = +-1, so the diagonal of U_0 stays exactly -1, 1, -1, ...
+    # scale the real and imaginary parts (two floats per complex entry) as
+    # floats: (x * s) / s == x for x = +-1, so the diagonal of U_0 stays
+    # exactly -1, 1, -1, ...
     parts = m.view(float)
     parts *= np.sqrt(np.arange(1, cols + 1, dtype=float))[:, None]
-    parts /= np.repeat(np.sqrt(np.arange(1, rows + 1, dtype=float)), 2)
+    parts /= np.repeat(np.sqrt(np.arange(1, rows + 1, dtype=float)), m.itemsize // 8)
     return m.T
 
 
@@ -279,25 +294,37 @@ def covariant_toeplitz(u: MonomialSymbol, z, dim: int) -> TruncatedOperator:
     U_z and T_u, the route compresses from a faithful working size: it
     builds the first ``dim`` columns V of U_z out to M rows, past which a
     proved bound (``_covariant_rows``) puts their tails under 1e-17, and
-    returns V^H (T_u V) with T_u applied by its diagonals, each one
-    slice-times-slice product over the stored columns.  Raises
+    returns V^H T_u V.  By the rotation U_z[q, p] = e^{i(p-q) theta}
+    U_r[q, p] (module docstring) this is P o sum_jk c_jk e^{i(j-k) theta}
+    V_r^T T_{w^j conj(w)^k} V_r for the real block V_r of U_r: each term's
+    T_{w^j conj(w)^k} is one real diagonal, so it costs one real matrix
+    product of two slices of V_r's stored columns, and the phase
+    P[q, p] = e^{i(p-q) theta} touches only the dim x dim result.  Raises
     ValueError, before building anything, when M would exceed COVARIANT_MAX_ROWS.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     zv = disk_value(z)
-    rows = _covariant_rows(abs(zv), dim)
+    r = abs(zv)
+    rows = _covariant_rows(r, dim)
     if rows > COVARIANT_MAX_ROWS:
         raise ValueError(
-            f"covariant_toeplitz at |z| = {abs(zv):.6g}, dim = {dim} needs a "
+            f"covariant_toeplitz at |z| = {r:.6g}, dim = {dim} needs a "
             f"working size of {rows} rows, above the ceiling of "
             f"{COVARIANT_MAX_ROWS}")
-    v = _uz_columns(zv, rows, dim).T  # row c is column c of U_z
-    tv = np.zeros_like(v)
-    for offset, lo, values in _toeplitz_diagonals(u, rows):
-        n = len(values)
-        tv[:, lo + offset:lo + offset + n] += values * v[:, lo:lo + n]
-    return TruncatedOperator._adopt(v.conj() @ tv.T)
+    v = _uz_columns(r, rows, dim).T  # row c is column c of U_r
+    theta = cmath.phase(zv)
+    out = np.zeros((dim, dim), dtype=complex)
+    weighted = np.empty_like(v)
+    for offset, lo, c, root, over in _toeplitz_diagonals(u, rows):
+        n = len(root)
+        # the term's rows q = p + offset of V_r, weighted by its diagonal
+        left = np.multiply(v[:, lo + offset:lo + offset + n], root / over, out=weighted[:, :n])
+        out += (c * cmath.exp(1j * offset * theta)) * (left @ v[:, lo:lo + n].T)
+    # P[q, p] = e^{i(p-q) theta}, read from the 2 dim - 1 phases
+    spread = np.arange(dim)
+    out *= np.exp(1j * theta * np.arange(1 - dim, dim))[spread - spread[:, None] + dim - 1]
+    return TruncatedOperator._adopt(out)
 
 
 def analytic_commutator_defect(f, g, dim: int) -> TruncatedOperator:

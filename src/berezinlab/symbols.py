@@ -395,12 +395,14 @@ def _matched_combination(u: MonomialSymbol, v: MonomialSymbol):
     a = np.array(rows, dtype=complex)
     col0, col1 = a.T
     norm0 = np.vdot(col0, col0)
-    alpha = -complex(np.vdot(col0, col1) / norm0) if norm0 else np.inf
+    # Python complex division: numpy's multiplies by a rounded reciprocal,
+    # so 49j / 49 would give 0.9999999999999999j
+    alpha = -(complex(np.vdot(col0, col1)) / complex(norm0)) if norm0 else np.inf
     # The tolerance keeps exact ties (|alpha| = |beta|) from flipping on roundoff.
     if abs(alpha) * (1.0 - 1e-9) <= 1.0:
         beta = 1.0 + 0j
     else:
-        alpha, beta = 1.0 + 0j, -complex(np.vdot(col1, col0) / np.vdot(col1, col1))
+        alpha, beta = 1.0 + 0j, -(complex(np.vdot(col1, col0)) / complex(np.vdot(col1, col1)))
     if np.max(np.abs(alpha * col0 + beta * col1)) > 1e-10 * np.max(np.abs(a)):
         return None, None
     return alpha, beta

@@ -1,10 +1,12 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from berezinlab.diskgeom import disk_gap, disk_value
-from berezinlab.operators import toeplitz_exact
+from berezinlab.berezin import kernel_coefficients
+from berezinlab.operators import toeplitz_exact, unitary_uz
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import HarmonicProductKind, MonomialSymbol
 
@@ -112,3 +114,27 @@ def harmonic_product_corpus():
         (sym({(1, 0): 1, (0, 1): 1}), sym({(1, 0): 1, (0, 1): 1}), NH),
         (sym({(1, 0): 1, (0, 1): 2}), sym({(1, 0): 2, (0, 1): 1}), NH),
     ]
+
+
+def product_corpus():
+    """Acceptance criterion 6's 117 cases (symbols, z): every product of length
+    1 to 3 over w, conj(w), |w|^2 at three points with |z| <= 0.5."""
+    sym = MonomialSymbol
+    base = [sym.identity(), sym.monomial(0, 1), sym.monomial(1, 1)]
+    return [([base[i] for i in idx], z)
+            for n in (1, 2, 3) for idx in np.ndindex(*(3,) * n)
+            for z in (0.5, 0.3j, -0.25 - 0.25j)]
+
+
+def product_chain_reference(symbols, z, dim: int):
+    """berezin_of_product's (value, covariant_value) from whole dim x dim products.
+
+    The dense reference for its vector chains: the transform of the matrix
+    product T_1 ... T_n, and the corner entry of (U_z T_1 U_z) ... (U_z T_n U_z).
+    """
+    mats = [toeplitz_exact(u, dim).matrix for u in symbols]
+    uz = unitary_uz(z, dim).matrix
+    kz = kernel_coefficients(z, dim)
+    value = np.vdot(kz, reduce(np.matmul, mats) @ kz)
+    chain = reduce(np.matmul, [uz @ m @ uz for m in mats])
+    return complex(value), complex(chain[0, 0])

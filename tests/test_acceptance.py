@@ -31,7 +31,7 @@ from berezinlab.suites import (BATTERIES, composed_block, plain_compression_resi
                                random_symbol, sample_points, semicommutator_residual)
 from berezinlab.symbols import (BlaschkeProduct, HarmonicProductKind,
                                 MonomialSymbol, classify_harmonic_product)
-from conftest import harmonic_product_corpus, laplacian_fd
+from conftest import harmonic_product_corpus, laplacian_fd, product_corpus
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -158,17 +158,12 @@ def test_criterion_05b_covariance_residual_monotone_in_truncation():
 def test_criterion_06_product_transform_residual():
     # covariant-chain residual <= 1e-6 for products of length <= 3 over
     # {w, conj(w), |w|^2}, |z| <= 0.5, N=64
-    base = [W, WBAR, MOD2]
-    points = (0.5, 0.3j, -0.25 - 0.25j)
     worst = 0.0
     count = 0
-    for n in (1, 2, 3):
-        for idx in np.ndindex(*(3,) * n):
-            symbols = [base[i] for i in idx]
-            for z in points:
-                out = bz.berezin_of_product(symbols, z, 64)
-                worst = max(worst, out.residual)
-                count += 1
+    for symbols, z in product_corpus():
+        out = bz.berezin_of_product(symbols, z, 64)
+        worst = max(worst, out.residual)
+        count += 1
     report(6, worst <= 1e-6, f"max residual over {count} product cases = {worst:.3e}")
 
 

@@ -14,7 +14,8 @@ from berezinlab.operators import TruncatedOperator, toeplitz_exact
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
 from conftest import (fsum_node_sum, kernel_density_grid, laplacian_fd,
-                      node_value_transform, node_weights, semicommutator_defect)
+                      node_value_transform, node_weights, product_chain_reference,
+                      product_corpus, semicommutator_defect)
 
 W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
@@ -472,6 +473,15 @@ class TestProducts:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bz.berezin_of_product([], 0.1, 16)
+
+    def test_vector_chains_match_whole_products(self):
+        cases = product_corpus()
+        assert len(cases) == 117
+        for symbols, z in cases:
+            out = bz.berezin_of_product(symbols, z, 64)
+            value, covariant_value = product_chain_reference(symbols, z, 64)
+            assert abs(out.value - value) < 1e-14, (symbols, z)
+            assert abs(out.covariant_value - covariant_value) < 1e-14, (symbols, z)
 
 
 class TestLaplacians:

@@ -100,6 +100,17 @@ class TestBerezinCommand:
         assert run(["berezin", "--symbol", "garbage", "--z", "0"]) == 2
         assert run(["berezin", "--symbol", "1,1:1", "--z", "1.5"]) == 2
 
+    def test_values_starting_with_minus_in_equals_form(self, capsys):
+        # argparse takes "-0.5+0.2i" after a space for an option, as the
+        # README's CLI section warns; the "=" form binds it to the option
+        with pytest.raises(SystemExit) as err:
+            run(["berezin", "--symbol", "1,1:1", "--z", "-0.5+0.2i"])
+        assert err.value.code == 2
+        assert "argument --z: expected one argument" in capsys.readouterr().err
+        assert run(["berezin", "--symbol", "1,1:1", "--z=-0.5+0.2i"]) == 0
+        assert run(["commutator", "--blaschke-f=-0.5,0.3", "--g", "1,0:1",
+                    "--kmax", "3", "--trunc", "16"]) == 0
+
     def test_outside_disk_rejected(self):
         assert run(["berezin", "--symbol", "1,1:1", "--z", "0.5,2.0"]) == 2
 

@@ -396,6 +396,28 @@ class TestCovariantRoute:
         got = covariant_toeplitz(u, z, dim).matrix
         assert np.max(np.abs(got - want)) < 1e-14
 
+    @pytest.mark.parametrize("r", [0.0, 1e-5, 0.3, 0.9])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi, 0.7, 2.5])
+    def test_rotated_real_block_matches_complex_block(self, r, theta):
+        # the route builds U_|z| in real arithmetic and rotates the symbol;
+        # the reference conjugates T_u by the complex block at z itself
+        u = MonomialSymbol.from_string(
+            "1,0:1;0,2:0.5-0.25i;1,1:-1;2,1:0.3i;0,3:0.2;4,0:-0.1i;0,0:0.25")
+        z, dim = complex(r * np.exp(1j * theta)), 48
+        v = operators._uz_columns(z, operators._covariant_rows(r, dim), dim)
+        want = v.conj().T @ toeplitz_times(u, v)
+        got = covariant_toeplitz(u, z, dim).matrix
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("x", [0.0, 1e-30, 1e-5, 0.3, -0.6, 0.9])
+    def test_real_point_builds_real_block(self, x):
+        for rows, cols in ((1, 1), (2, 9), (64, 64), (700, 200), (2012, 64)):
+            got = operators._uz_columns(x, rows, cols)
+            assert got.dtype == np.float64
+            want = operators._uz_columns(complex(x), rows, cols)
+            assert want.dtype == np.complex128
+            assert np.max(np.abs(got - want)) < 1e-15, (rows, cols)
+
     def test_refuses_working_size_above_ceiling(self, monkeypatch):
         def no_build(*args):
             raise AssertionError("U_z columns built past the ceiling")

@@ -372,7 +372,8 @@ def _svd_matched_combination(u, v):
 
     The reference for symbols._matched_combination: rows as there, the
     pivot is the larger entry of the null vector (ties to beta), and the
-    other entry is polished by the same least-squares ratio.
+    other entry is polished by the same least-squares ratio, divided as
+    Python complex numbers.
     """
     rows = []
     u_zbar, v_zbar = u.dzbar(), v.dzbar()
@@ -388,9 +389,11 @@ def _svd_matched_combination(u, v):
     null = vh[-1].conjugate()
     if abs(null[1]) >= abs(null[0]) * (1.0 - 1e-9):
         denom = np.vdot(a[:, 0], a[:, 0])
-        return (-complex(np.vdot(a[:, 0], a[:, 1]) / denom) if denom != 0 else 0j), 1.0 + 0j
+        return (-(complex(np.vdot(a[:, 0], a[:, 1])) / complex(denom))
+                if denom != 0 else 0j), 1.0 + 0j
     denom = np.vdot(a[:, 1], a[:, 1])
-    return 1.0 + 0j, (-complex(np.vdot(a[:, 1], a[:, 0]) / denom) if denom != 0 else 0j)
+    return 1.0 + 0j, (-(complex(np.vdot(a[:, 1], a[:, 0])) / complex(denom))
+                      if denom != 0 else 0j)
 
 
 def _matched_pairs(seed, count):
@@ -429,6 +432,15 @@ class TestClassifier:
                             _svd_matched_combination)
         assert got == [classify_harmonic_product(u, v) for u, v in pairs]
         assert any(out.kind is HarmonicProductKind.MATCHED_COMBINATION for out in got)
+
+    def test_integer_witness_i_is_exact(self):
+        # u = 7 (w + conj(w)), v = 7i (w - conj(w)): the ratio is 49i / 49,
+        # which numpy's complex division rounds to 0.9999999999999999i
+        u = MonomialSymbol({(1, 0): 7, (0, 1): 7})
+        v = MonomialSymbol({(1, 0): 7j, (0, 1): -7j})
+        out = classify_harmonic_product(u, v)
+        assert out.kind is HarmonicProductKind.MATCHED_COMBINATION
+        assert out.alpha == 1j and out.beta == 1.0
 
     def test_both_analytic(self):
         out = classify_harmonic_product(W, W)
