@@ -12,10 +12,11 @@ Five routes to the same number:
 * exact route: the closed-form resummation of that series, usable
   arbitrarily close to the boundary;
 * quadrature route: u~(z) = integral of u |k_z|^2 dA, trusted while its
-  aliasing estimate stays within RELIABILITY_TOL.  The symbol is a
-  polynomial, so each ring's angular sum of the density, aliases
-  included, is a closed form in the density's Fourier coefficients and
-  no node is visited;
+  error estimate (angular aliasing, the radial rule's pole term and the
+  moment error at the symbol's degree) stays within RELIABILITY_TOL.
+  The symbol is a polynomial, so each ring's angular sum of the density,
+  aliases included, is a closed form in the density's Fourier
+  coefficients and no node is visited;
 * mean-value route: u~(z) = integral of u o phi_z dA, summed term by
   term from ring sums of the powers of phi_z(nodes) that u uses, with
   no node values of u formed.
@@ -43,7 +44,7 @@ from .diskgeom import _gap, disk_gap, disk_value, mobius_eval
 from .operators import (TruncatedOperator, analytic_commutator_defect,
                         toeplitz_exact, unitary_uz)
 from .quadrature import (BLOCK_NODES, DEFAULT_N_ANGULAR, DEFAULT_N_RADIAL,
-                         DiskQuadrature, build_rule, monomial_moment)
+                         DiskQuadrature, build_rule, moment_error, monomial_moment)
 from .symbols import BlaschkeProduct, MonomialSymbol
 
 SERIES_MAX_TERMS = 2_000_000
@@ -305,19 +306,29 @@ def _phi_sum(j: int, t: float, gap: float) -> float:
 # ---------------------------------------------------------------------------
 
 def quadrature_tail_estimate(rule: DiskQuadrature, z, symbol_degree: int = 0) -> float:
-    """Crude aliasing estimate for integrating u |k_z|^2 with this rule.
+    """Crude error estimate for integrating u |k_z|^2 with this rule.
 
-    The kernel density has angular modes with coefficients of size
-    (l+1) |z|^l; modes at or beyond n_angular - symbol_degree alias to
-    the retained ones.
+    The sum of three terms:
+
+    * angular aliasing: the kernel density has angular modes with
+      coefficients of size (l+1) |z|^l; modes at or beyond
+      n_angular - symbol_degree alias to the retained ones;
+    * the Gauss-Legendre rule in t = r^2: the density's ring sums have a
+      pole at t = 1/|z|^2, so the n_radial-point error falls like
+      rho^(-2n) with rho = x + sqrt(x^2 - 1), x = 2/|z|^2 - 1, which is
+      (|z| / (1 + sqrt(1 - |z|^2)))^(4n), weighted 100 n (0 at z = 0);
+    * the rule's moment error at the symbol's degree (moment_error).
     """
-    r = abs(disk_value(z))
+    zv = disk_value(z)
+    r, gap, n = abs(zv), disk_gap(zv), rule.n_radial
     mode = max(rule.n_angular - symbol_degree, 1)
-    return disk_gap(z) * (1.0 + r) * (mode / 2.0 + 1.0) ** 2 * r ** mode
+    angular = gap * (1.0 + r) * (mode / 2.0 + 1.0) ** 2 * r ** mode
+    radial = 100.0 * n * (r / (1.0 + math.sqrt(gap))) ** (4 * n)
+    return angular + radial + moment_error(rule, symbol_degree)
 
 
 def quadrature_flag(rule: DiskQuadrature, z, symbol_degree: int = 0) -> str:
-    """Flag "quadrature-unreliable" when the aliasing estimate exceeds RELIABILITY_TOL."""
+    """Flag "quadrature-unreliable" when the error estimate exceeds RELIABILITY_TOL."""
     if quadrature_tail_estimate(rule, z, symbol_degree) > RELIABILITY_TOL:
         return "quadrature-unreliable"
     return ""
@@ -584,6 +595,8 @@ class PathSpec:
     aperture: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"path angle must be finite, got {self.angle}")
         if not abs(self.aperture) < math.pi / 2:
             raise ValueError("aperture must lie in (-pi/2, pi/2)")
 

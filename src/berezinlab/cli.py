@@ -8,11 +8,13 @@ have 12 significant digits and ordering is fixed, so output is
 deterministic given the arguments.
 
 Exit codes: 0 success, 2 usage or parse error (an oversized ``--trunc``,
-``--nr`` or ``--ntheta`` included; ``main`` alone maps a ``CLIError`` or
-``ValueError`` to it), 3 reliability flag raised under ``--strict``,
-4 invariant failure in suites, 5 numerical failure (a numpy overflow,
-invalid operation or division by zero, raised where it happens, and an
-inf or nan in the report, found before anything is written, included).
+``--nr`` or ``--ntheta``, a quadrature rule too coarse for the Toeplitz
+block and a non-finite ``--theta`` included; ``main`` alone maps a
+``CLIError``, ``ValueError`` or ``QuadratureWarning`` to it), 3 reliability
+flag raised under ``--strict``, 4 invariant failure in suites, 5 numerical
+failure (a numpy overflow, invalid operation or division by zero, raised
+where it happens, and an inf or nan in the report, found before anything
+is written, included).
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import berezin as bz
 from .operators import toeplitz_exact, toeplitz_quadrature, unitary_uz
+from .quadrature import QuadratureWarning
 from .suites import BATTERIES, run_batteries
 from .symbols import (BlaschkeProduct, MonomialSymbol, parse_blaschke_zeros,
                       parse_complex)
@@ -447,10 +451,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
             _check_matrix_budget(args)
             return args.func(args)
-    except (CLIError, ValueError) as exc:
+    except (CLIError, ValueError, QuadratureWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ArithmeticError, RuntimeError) as exc:

@@ -133,17 +133,20 @@ def _gauss_legendre(n_radial: int) -> tuple[np.ndarray, np.ndarray]:
     return radial_r, radial_w
 
 
-def check_rule_for_degree(rule: DiskQuadrature, degree: int) -> float:
-    """Return the worst moment error up to ``degree`` and warn if large.
+def moment_error(rule: DiskQuadrature, degree: int) -> float:
+    """The rule's worst moment error up to ``degree``, with no warning.
 
     Sampled at the corner exponents, which is where a tensor rule first
     fails: pure radial (a = b) at the top degree and the fully
     lopsided harmonics (a, 0) / (0, b).
     """
     probes = [(degree, degree), (degree, 0), (0, degree)]
-    worst = 0.0
-    for a, b in probes:
-        worst = max(worst, abs(rule.rule_moment(a, b) - monomial_moment(a, b)))
+    return max(abs(rule.rule_moment(a, b) - monomial_moment(a, b)) for a, b in probes)
+
+
+def check_rule_for_degree(rule: DiskQuadrature, degree: int) -> float:
+    """Return moment_error(rule, degree) and warn if it exceeds MOMENT_TOL."""
+    worst = moment_error(rule, degree)
     if worst > MOMENT_TOL:
         warnings.warn(
             f"quadrature rule ({rule.n_radial} radial x {rule.n_angular} angular)"

@@ -402,6 +402,20 @@ class TestQuadratureRoute:
                 assert abs(by_symbol - bz.berezin_symbol_exact(u, z)) > 0.1
                 assert bz.quadrature_flag(rule, z, u.total_degree) == "quadrature-unreliable"
 
+    @pytest.mark.parametrize("n_radial", [1, 2, 4, 7, 10, 20, 80])
+    def test_coarse_radial_rule_is_right_or_flagged(self, n_radial):
+        # the radial rule's error at the ring sums' pole and at the symbol's
+        # degree must raise the flag wherever the value is off
+        rule = build_rule(n_radial, 256)
+        for u in (MonomialSymbol({(0, 0): 1.0}), MonomialSymbol({(1, 1): 1.0}),
+                  MonomialSymbol({(3, 0): 1.0, (0, 2): 0.5j}),
+                  MonomialSymbol({(6, 6): 1.0})):
+            for z in (0.0, 0.3, 0.5j, 0.8, 0.9):
+                error = abs(bz.berezin_symbol_quadrature(u, z, rule)
+                            - bz.berezin_symbol_exact(u, z))
+                assert (error <= bz.RELIABILITY_TOL
+                        or bz.quadrature_flag(rule, z, u.total_degree)), (u, z, error)
+
     def test_tail_estimate_grows_towards_boundary(self, default_rule):
         inner = bz.quadrature_tail_estimate(default_rule, 0.5, 2)
         outer = bz.quadrature_tail_estimate(default_rule, 0.97, 2)
@@ -651,6 +665,11 @@ class TestDecayProfiles:
             assert abs(path.point(r)) < 1.0
         with pytest.raises(ValueError):
             bz.PathSpec(aperture=2.0)
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused(self, angle):
+        with pytest.raises(ValueError, match=f"^path angle must be finite, got {angle}$"):
+            bz.PathSpec(angle=angle)
 
     def test_flags_recorded(self):
         profile = bz.decay_profile(lambda z: (1.0, bz.operator_flag(64, z)),

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berezinlab import berezin as bz
@@ -621,6 +622,19 @@ ERROR_LINES = [
      "cannot write OUT: No such file or directory"),
     (["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
      "coefficient of term 1,1 is not finite"),
+    # toeplitz_quadrature warns its direct callers; the CLI makes the
+    # warning its one error line
+    (["toeplitz", "--symbol", "1,1:1", "--quadrature", "--trunc", "16", "--nr", "4",
+      "--ntheta", "8"], "quadrature rule (4 radial x 8 angular) misses monomial moments"
+     " of degree 32 by 5.553e-02"),
+    (["decay", "--field", "localization", "--symbol", "1,1:1", "--theta", "inf",
+      "--kmax", "3"], "path angle must be finite, got inf"),
+    (["decay", "--field", "localization", "--symbol", "1,1:1", "--theta", "nan",
+      "--kmax", "3"], "path angle must be finite, got nan"),
+    (["commutator", "--f", "1,0:1", "--g", "1,0:1", "--theta", "inf", "--kmax", "2",
+      "--trunc", "8"], "path angle must be finite, got inf"),
+    (["commutator", "--f", "1,0:1", "--g", "1,0:1", "--theta=-inf", "--kmax", "2",
+      "--trunc", "8"], "path angle must be finite, got -inf"),
 ]
 
 
@@ -628,7 +642,10 @@ class TestErrorLines:
     @pytest.mark.parametrize("argv,message", ERROR_LINES)
     def test_input_error_line(self, argv, message, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")
-        assert run([out if arg == "OUT" else arg for arg in argv]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([out if arg == "OUT" else arg for arg in argv]) == 2
+        assert caught == []
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.replace('OUT', out)}\n"
         assert captured.out == ""
@@ -709,6 +726,9 @@ class TestNonFiniteOutput:
 FUZZ_COEFFS = ("1", "3", "0.5i", "1e-300", "1e5", "1e150", "1e300", "1e308", "-1e308")
 FUZZ_RADII = (0.0, 0.3, 0.8, 0.99, 0.999, 0.9999999)
 FUZZ_ANGLES = ("0", "0.3", "2.5")
+FUZZ_THETAS = (*FUZZ_ANGLES, "inf", "-inf", "nan")
+FUZZ_APERTURES = ("0", "0.7", "-0.7", "1.5", "-1.5")
+FUZZ_RULE_SIZES = ("1", "2", "4", "8", "80", "256")
 
 
 def fuzz_symbol(analytic=False):
@@ -725,19 +745,53 @@ def fuzz_point():
         lambda ra: format_complex(ra[0] * np.exp(1j * float(ra[1]))))
 
 
+def option(name, values):
+    """The words ``--name=value`` for a value drawn from ``values``.
+
+    One word, since argparse reads a separate value that starts with
+    ``-`` (a point, ``-inf``, ``-0.7``) as an option.
+    """
+    return values.map(lambda value: (f"--{name}={value}",))
+
+
+def words(*fixed):
+    return st.just(fixed)
+
+
+def argv_of(*parts):
+    """The concatenation of the parts, each a strategy for a tuple of words."""
+    return st.tuples(*parts).map(lambda ts: sum(ts, ()))
+
+
+def fuzz_points():
+    return st.lists(fuzz_point(), min_size=1, max_size=3).map(",".join)
+
+
+FUZZ_RULE = argv_of(option("nr", st.sampled_from(FUZZ_RULE_SIZES)),
+                    option("ntheta", st.sampled_from(FUZZ_RULE_SIZES)))
+FUZZ_PATH = argv_of(option("theta", st.sampled_from(FUZZ_THETAS)),
+                    option("aperture", st.sampled_from(FUZZ_APERTURES)))
+FUZZ_FORMAT = st.sampled_from([(), ("--format", "csv")])
+FUZZ_PAIR = st.one_of(
+    argv_of(option("f", fuzz_symbol(analytic=True)), option("g", fuzz_symbol(analytic=True))),
+    argv_of(option("blaschke-f", fuzz_points()),
+            st.one_of(words("--blaschke-g", "same"), option("blaschke-g", fuzz_points()))))
+
 FUZZ_ARGVS = st.one_of(
-    st.tuples(st.just("berezin"), st.just("--symbol"), fuzz_symbol(),
-              st.lists(fuzz_point(), min_size=1, max_size=3).map(lambda zs: "--z=" + ",".join(zs)),
-              st.just("--route"), st.sampled_from((*cli.ROUTES, "all"))),
-    st.tuples(st.just("toeplitz"), st.just("--symbol"), fuzz_symbol(), st.just("--trunc"),
-              st.integers(1, 16).map(str)).flatmap(
-        lambda argv: st.sampled_from([argv, (*argv, "--quadrature")])),
-    st.tuples(st.just("decay"), st.just("--field"), st.sampled_from(tuple(cli.SYMBOL_FIELDS)),
-              st.just("--symbol"), fuzz_symbol(), st.just("--kmax"),
-              st.integers(1, 39).map(str), st.just("--theta"), st.sampled_from(FUZZ_ANGLES)),
-    st.tuples(st.just("commutator"), st.just("--f"), fuzz_symbol(analytic=True),
-              st.just("--g"), fuzz_symbol(analytic=True), st.just("--kmax"),
-              st.integers(1, 20).map(str), st.just("--trunc"), st.integers(8, 32).map(str)),
+    argv_of(words("berezin"), option("symbol", fuzz_symbol()), option("z", fuzz_points()),
+            st.sampled_from((*cli.ROUTES, "all")).flatmap(
+                lambda route: argv_of(words("--route", route),
+                                      FUZZ_RULE if route in ("quadrature", "all") else words())),
+            FUZZ_FORMAT),
+    argv_of(words("toeplitz"), option("symbol", fuzz_symbol()),
+            option("trunc", st.integers(1, 16)),
+            st.one_of(words(), argv_of(words("--quadrature"), FUZZ_RULE))),
+    argv_of(words("uz"), option("z", fuzz_point()), option("trunc", st.integers(1, 64))),
+    argv_of(words("decay"), option("field", st.sampled_from(tuple(cli.SYMBOL_FIELDS))),
+            option("symbol", fuzz_symbol()), option("kmax", st.integers(1, 39)),
+            FUZZ_PATH, FUZZ_FORMAT),
+    argv_of(words("commutator"), FUZZ_PAIR, option("kmax", st.integers(1, 20)),
+            option("trunc", st.integers(8, 32)), FUZZ_PATH, FUZZ_FORMAT),
 )
 
 
@@ -745,12 +799,23 @@ def refuse_constant(name):
     raise ValueError(f"report holds {name}")
 
 
+def text_or_finite(cell: str) -> bool:
+    """False only for a CSV cell that reads as an infinite or NaN float."""
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return True
+
+
 class TestFuzzedArgv:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(argv=FUZZ_ARGVS)
+    @example(argv=("toeplitz", "--symbol", "1,1:1", "--quadrature", "--trunc", "16",
+                   "--nr", "4", "--ntheta", "8"))
     def test_clean_exit_and_finite_json(self, argv):
         # every argv of the grammar exits with a documented code, warns
-        # about nothing and, on success, prints JSON with no NaN or Infinity
+        # about nothing and, on success, prints JSON or CSV with no NaN or
+        # Infinity
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -759,7 +824,10 @@ class TestFuzzedArgv:
         assert code in (0, 2, 3, 4, 5)
         assert caught == []
         assert "Traceback" not in err.getvalue()
-        if code == 0:
+        if code == 0 and "csv" in argv:
+            for row in csv.reader(io.StringIO(out.getvalue())):
+                assert all(text_or_finite(cell) for cell in row), row
+        elif code == 0:
             json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 

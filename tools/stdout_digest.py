@@ -15,8 +15,10 @@ and the commutator's derivative profile on the ray at angle 0.3 out to
 ``--kmax 39``, a few commands that reach the commutator defect, the series route (near the rim too) and
 the quadrature Toeplitz builder with other inputs, one of them on a
 grid of one full node slice and a ragged tail, a ``U_z`` dump near the
-origin whose entries fall to about 1e-150, input errors of every
-command, each of which writes one ``error:`` line and exits 2, a
+origin whose entries fall to about 1e-150, a quadrature transform that
+its coarse radial rule flags, input errors of every command (a
+quadrature rule too coarse for a Toeplitz block and a non-finite path
+angle among them), each of which writes one ``error:`` line and exits 2, a
 quadrature transform near 1e307 from coefficients of 1e308, and two
 finite symbols whose transforms overflow, which exit 5.
 No command writes a path of TREE, but a numpy RuntimeWarning names its
@@ -58,6 +60,8 @@ EXTRA = [
     ["toeplitz", "--symbol", "1,1:1;2,0:0.5", "--quadrature", "--trunc", "12",
      "--nr", "81", "--ntheta", "100"],
     ["uz", "--z", "0.004+0.001i", "--trunc", "64"],
+    # a quadrature transform flagged for its coarse radial rule
+    ["berezin", "--symbol", "0,0:1", "--z", "0.9", "--route", "quadrature", "--nr", "7"],
     # input errors
     ["berezin", "--symbol", "1,1", "--z", "0"],
     ["toeplitz", "--symbol", "1,1:x", "--trunc", "8"],
@@ -77,6 +81,9 @@ EXTRA = [
     ["decay", "--field", "factored-laplacian", "--factor", "1,1:1"],
     ["decay", "--field", "factored-laplacian", "--factor", "1,0"],
     ["berezin", "--symbol", "1,1:1", "--z", "0.5", "--out", "/dev/null/x.json"],
+    ["toeplitz", "--symbol", "1,1:1", "--quadrature", "--trunc", "16", "--nr", "4",
+     "--ntheta", "8"],
+    ["decay", "--field", "localization", "--symbol", "1,1:1", "--theta", "inf", "--kmax", "3"],
     ["berezin", "--symbol", "1,1:1e400", "--z", "0.3", "--route", "series"],
     ["decay", "--field", "berezin-minus-symbol", "--symbol", "1,1:1e400"],
     ["toeplitz", "--symbol", "1,1:1e400", "--trunc", "8"],
