@@ -17,9 +17,9 @@ Five routes to the same number:
   The symbol is a polynomial, so each ring's angular sum of the density,
   aliases included, is a closed form in the density's Fourier
   coefficients and no node is visited;
-* mean-value route: u~(z) = integral of u o phi_z dA, summed term by
-  term from ring sums of the powers of phi_z(nodes) that u uses, with
-  no node values of u formed.
+* mean-value route: u~(z) = integral of u o phi_z dA, the rule's radial
+  weights on exact ring means from the Taylor coefficients of powers of
+  phi_z, read off one FFT of their values on the unit circle.
 
 Invariant Laplacians are exact: the exact route on a symbol's, or the
 product rule on a truncated operator's polynomial transform.
@@ -56,9 +56,9 @@ SERIES_TOL = 1e-12
 RELIABILITY_TOL = 1e-6
 # Final-sample magnitude below which both commutator profiles count as decayed.
 DECAY_THRESHOLD = 1e-3
-# Entries per temporary of a transform route batched over points; weighted_sum
-# puts the same cap on its power table and buffers together.
+# Entries per temporary of a transform route batched over points.
 CHUNK_ENTRIES = 8 * BLOCK_NODES
+MEAN_VALUE_MAX_SIZE = 2 ** 16  # circle samples past which _composed_integral refuses
 
 
 @dataclass(frozen=True)
@@ -426,15 +426,64 @@ def berezin_symbol_quadrature(u: MonomialSymbol, z, rule: DiskQuadrature):
 
 
 def mean_value_transform(u: MonomialSymbol, z, rule: DiskQuadrature) -> complex:
-    """u~(z) as the plain average of u over phi_z-translated coordinates.
+    """u~(z) = integral (u o phi_z) dA, w = phi_z(v) substituted in the kernel integral.
 
-    Substituting w = phi_z(v) in the kernel integral leaves
-    integral (u o phi_z) dA, an independent route used as a cross-check.
-    Each ring of the rule weighs radial_w_i, and the sum is taken term
-    by term from ring sums of powers of phi_z(nodes)
-    (MonomialSymbol.weighted_sum), with no node values of u.
+    An independent cross-check: exact ring means under the rule's radial
+    weights (_composed_integral), sharing only the radial moments with the
+    quadrature route.
     """
-    return u.weighted_sum(rule, rule.radial_w, z)
+    return _composed_integral(u, z, rule, (1.0,))
+
+
+def _composed_integral(u: MonomialSymbol, z, rule: DiskQuadrature, factor) -> complex:
+    """The rule's integral of (u o phi_z)(w) p(|w|^2), p(t) = sum_i factor_i t^i.
+
+    With phi_z^a = sum_n c_n(a) w^n, ring means turn c w^a conj(w)^b into
+    c sum_n c_n(a) conj(c_n(b)) P[n], P[n] = sum_i factor_i R[2n + 2i] from
+    the radial moments R; c_n(0) = [n = 0], so a pure term is c z^a P[0]
+    or c conj(z)^b P[0].  The mixed terms' powers of phi_z, running
+    products at the S-th roots of unity, give c_n(a) for n < S by one FFT,
+    up to aliases c_(n+S), ..., as |c_n(a)| is about n^a (1/gap + 1)^a
+    |z|^(n-a), gap = 1 - |z|^2.  So S is the smallest power of two, at
+    least 16, with S >= d + 1 + (40 + d log(1/gap + 1) + d log S) / (-log|z|),
+    d the largest mixed exponent; past MEAN_VALUE_MAX_SIZE, ValueError
+    before anything is built.  The sums reduce products by np.add.reduce.
+    """
+    zv, count = disk_value(z), 1
+    powers = sorted({e for j, k in u.coeffs if j and k for e in (j, k)})
+    if powers:
+        d, gap, count = powers[-1], _gap(zv), 16
+        decay = -math.log(abs(zv)) if zv else math.inf
+        while count < d + 1 + (40.0 + d * math.log(count / gap + count)) / decay:
+            count *= 2
+        if count > MEAN_VALUE_MAX_SIZE:
+            raise ValueError(f"the mean-value route at |z| = {abs(zv):.6g}, degree {d} needs S = "
+                             f"{count} circle samples, above the ceiling of {MEAN_VALUE_MAX_SIZE}")
+        x = (zv - _circle(count)) / (1.0 - zv.conjugate() * _circle(count))
+        table, power, m = np.empty((len(powers), count), dtype=complex), x.copy(), 1
+        for row, e in zip(table, powers):
+            for _ in range(e - m):
+                np.multiply(power, x, out=power)
+            row[:], m = power, e
+        coeffs = dict(zip(powers, np.fft.fft(table) / count))  # S is a power of two
+    moments = rule.radial_moments(2 * (count + len(factor)) - 4)
+    weights = sum(c * moments[2 * i:2 * (i + count):2] for i, c in enumerate(factor))
+    total, sums = 0j, {}  # sums[a, b], a >= b: sum_n c_n(a) conj(c_n(b)) P[n]
+    for (j, k), c in u.coeffs.items():
+        a, b = max(j, k), min(j, k)
+        if b and (a, b) not in sums:
+            sums[a, b] = complex(np.add.reduce(coeffs[a] * np.conjugate(coeffs[b]) * weights))
+        value = sums[a, b] if b else zv ** a * float(weights[0])
+        total += c * (value if j >= k else value.conjugate())
+    return total
+
+
+@lru_cache(maxsize=8)
+def _circle(count: int) -> np.ndarray:
+    """The count-th roots of unity, read-only, as every caller shares them."""
+    roots = np.exp(2j * np.pi * np.arange(count) / count)
+    roots.flags.writeable = False
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +582,10 @@ def harmonic_defect_integral(u: MonomialSymbol, z, rule: DiskQuadrature) -> comp
 
     Equals (1 - |z|^2)^2 (Delta u~)(z); the vanishing of either as
     z approaches the boundary is one of the equivalent fixed-point
-    criteria this laboratory probes.  2|w|^2 - 1 is constant on each
-    ring of the rule, so it folds into the ring weights of
-    MonomialSymbol.weighted_sum.
+    criteria this laboratory probes.  Taken as the mean-value route's
+    ring means against 2 R[2n + 2] - R[2n] (_composed_integral).
     """
-    r = rule.radial_r
-    return 8.0 * u.weighted_sum(rule, rule.radial_w * (2.0 * r * r - 1.0), z)
+    return 8.0 * _composed_integral(u, z, rule, (-1.0, 2.0))
 
 
 def factored_harmonic_invariant_laplacian(factors, z) -> complex:

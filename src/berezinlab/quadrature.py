@@ -58,6 +58,8 @@ class DiskQuadrature:
     n_angular: int
     ring: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
+    # [R[0 .. s - 1], radial_w r^s], grown by radial_moments
+    _moments: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
@@ -65,6 +67,7 @@ class DiskQuadrature:
         nodes = np.multiply.outer(self.radial_r, ring).ravel()
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_moments", [np.empty(0), self.radial_w])
 
     @property
     def n_radial(self) -> int:
@@ -88,17 +91,29 @@ class DiskQuadrature:
         return complex(np.sum(grid * (self.radial_w / self.n_angular)[:, None]))
 
     def radial_moments(self, top: int) -> np.ndarray:
-        """R[s] = sum_i radial_w_i radial_r_i^s for s = 0 .. top.
+        """R[s] = sum_i radial_w_i radial_r_i^s for s = 0 .. top, read-only.
 
         The weighted powers are running products down the exponent axis
         (np.cumprod), never a power call, and each R[s] is the pairwise
         np.sum of one contiguous row, so the bits depend on neither the
-        host's power routine nor the BLAS build.
+        host's power routine nor the BLAS build.  The rule keeps the table
+        and grows it to at least twice its length, continuing the products
+        in blocks of 2 BLOCK_NODES entries: a prefix is bitwise the table
+        built at once.
         """
-        powers = np.empty((top + 1, self.radial_r.size))
-        powers[0] = self.radial_w
-        powers[1:] = self.radial_r
-        return np.cumprod(powers, axis=0).sum(axis=1)
+        table, row = self._moments
+        if top >= len(table):
+            r, parts, rows = self.radial_r, [table], max(1, 2 * BLOCK_NODES // self.n_radial)
+            for _ in range(len(table), max(top + 1, 2 * len(table)), rows):
+                block = np.full((rows, r.size), r)
+                block[0] = row
+                block = np.cumprod(block, axis=0)
+                parts.append(block.sum(axis=1))
+                row = block[-1] * r
+            table = np.concatenate(parts)
+            table.flags.writeable = False
+            self._moments[:] = table, row
+        return table[:top + 1]
 
     def rule_moment(self, a: int, b: int) -> complex:
         """The rule's value on w^a conj(w)^b, by the tensor structure.

@@ -258,69 +258,6 @@ class MonomialSymbol:
         zv = disk_value(z)
         return lambda w: self.evaluate_array((zv - w) / (1.0 - zv.conjugate() * w))
 
-    def weighted_sum(self, rule, ring_weights: np.ndarray, z) -> complex:
-        """sum_i ring_weights_i mean_l u(phi_z(node_il)) over the rings i of ``rule``.
-
-        No node weight or node value of u is formed.  Per slice of whole
-        rings, x = phi_z(nodes) is formed once, then by an addition chain
-        only the powers the terms use, and each ring sums by np.add.reduce
-        over its row: x^m once per pure exponent m, read conjugated for
-        conj(w)^m, and x^a conj(x^b) once per mixed a >= b, one conj(x^b)
-        per b, read conjugated for (b, a).  A sum meets the ring weights in
-        one pairwise reduction before its coefficient multiplies it, and
-        the constant reads sum(ring_weights); no BLAS routine is called.
-        Table and buffers hold at most 8 BLOCK_NODES entries.
-        """
-        zv = disk_value(z)
-        keys = {}  # (a, b), a >= b: row of ``sums`` for the ring sums of x^a conj(x^b)
-        for j, k in self._coeffs:
-            if j or k:
-                keys.setdefault((max(j, k), min(j, k)), len(keys))
-        chain = {1: 0}  # x^m = x^a x^(m-a) as m: a, in the table's row order
-        todo = sorted({e for key in keys for e in key if e}, reverse=True)
-        while todo:  # the largest held pair, else the two halves first
-            m = todo[-1]
-            a = max((a for a in chain if m - a in chain), default=0)
-            if m in chain or a:
-                chain.setdefault(m, a)
-                todo.pop()
-            else:
-                todo += [m - m // 2, m // 2]
-        by_b = {}
-        for (a, b), q in keys.items():
-            by_b.setdefault(b, []).append((a, q))
-        n, n_radial = rule.n_angular, rule.n_radial
-        height = len(chain) + (2 if set(by_b) - {0} else 1)  # a buffer, and one more if mixed
-        rings = max(1, 8 * BLOCK_NODES // (height * n))
-        rings = -(-n_radial // -(-n_radial // rings))  # split evenly
-        table = np.empty((height, rings if keys else 0, n), dtype=complex)
-        sums = np.empty((len(keys), n_radial), dtype=complex)
-        for start in range(0, n_radial if keys else 0, rings):
-            w = rule.nodes[start * n:(start + rings) * n].reshape(-1, n)
-            rows = list(table[:, :len(w)])
-            x, conj, prod = dict(zip(chain, rows)), rows[-2], rows[-1]  # x[m] holds x^m
-            np.multiply(w, zv.conjugate(), out=prod)
-            np.subtract(1.0, prod, out=prod)
-            np.subtract(zv, w, out=x[1])
-            np.divide(x[1], prod, out=x[1])
-            for m, a in chain.items():
-                if a:
-                    np.multiply(x[a], x[m - a], out=x[m])
-            for b, terms in by_b.items():
-                if b:
-                    np.conjugate(x[b], out=conj)
-                for a, q in terms:
-                    np.add.reduce(np.multiply(x[a], conj, out=prod) if b else x[a],
-                                  axis=-1, out=sums[q, start:start + len(w)])
-        means = [s / n for s in np.add.reduce(sums * ring_weights, axis=-1).tolist()]
-        total = 0j
-        for (j, k), c in self._coeffs.items():
-            if j == k == 0:
-                total += c * float(np.add.reduce(ring_weights))
-            else:
-                total += c * (means[keys[j, k]] if j >= k else means[keys[k, j]].conjugate())
-        return complex(total)
-
 
 def nearly_zero(sym: MonomialSymbol, scale: float) -> bool:
     """Coefficient-level zero test with a tiny relative tolerance."""

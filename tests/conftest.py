@@ -138,3 +138,21 @@ def product_chain_reference(symbols, z, dim: int):
     value = np.vdot(kz, reduce(np.matmul, mats) @ kz)
     chain = reduce(np.matmul, [uz @ m @ uz for m in mats])
     return complex(value), complex(chain[0, 0])
+
+
+def fine_angle_node_sums(u, z, rule, n_angular: int = 8192) -> tuple[complex, complex]:
+    """mean_value_transform's and harmonic_defect_integral's values from
+    node values on the rule's radii with n_angular angles.
+
+    Each ring's mean of the Horner values of u o phi_z is numpy's pairwise
+    sum, and the rings meet the radial weights, times 8 (2 r^2 - 1) for
+    the defect, in correctly rounded sums: an independent check of the
+    radial part of both, whose ring means are exact.  The angular aliases
+    fall like |z|^n_angular, below 1e-16 of the symbol's coefficient sum
+    for degree 8 at |z| = 0.99.
+    """
+    fine = build_rule(rule.n_radial, n_angular)
+    means = np.mean(u.compose_mobius_evaluator(z)(fine.node_grid()), axis=1)
+    r = rule.radial_r
+    return tuple(complex(math.fsum((w * means).real), math.fsum((w * means).imag))
+                 for w in (rule.radial_w, rule.radial_w * (8.0 * (2.0 * r * r - 1.0))))

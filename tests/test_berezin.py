@@ -13,7 +13,7 @@ from berezinlab.diskgeom import DiskDomainError, disk_gap, mobius_eval
 from berezinlab.operators import TruncatedOperator, toeplitz_exact
 from berezinlab.quadrature import build_rule
 from berezinlab.symbols import BlaschkeProduct, MonomialSymbol
-from conftest import (fsum_node_sum, kernel_density_grid, laplacian_fd,
+from conftest import (fine_angle_node_sums, kernel_density_grid, laplacian_fd,
                       node_value_transform, node_weights, product_chain_reference,
                       product_corpus, semicommutator_defect)
 
@@ -21,6 +21,17 @@ W = MonomialSymbol.identity()
 WBAR = MonomialSymbol.monomial(0, 1)
 MOD2 = MonomialSymbol.monomial(1, 1)
 ONE = MonomialSymbol.constant(1.0)
+
+
+# |z| from the center to 0.99, on two rays
+RIM_GRID = [r * complex(math.cos(a), math.sin(a))
+            for r in (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99) for a in (0.0, 0.3)]
+
+
+def grid_symbols():
+    """Seeded random symbols of degree 1 to 12 for the mean-value grids."""
+    rng = np.random.default_rng(47)
+    return [suites.random_symbol(rng, max_degree=d, n_terms=8) for d in (1, 3, 6, 9, 12, 12)]
 
 
 def kernel_density(z, w):
@@ -438,24 +449,63 @@ class TestMeanValueRoute:
         got = bz.mean_value_transform(MOD2, 0.5, default_rule)
         assert got == pytest.approx(bz.berezin_symbol_series(MOD2, 0.5), abs=1e-8)
 
-    @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
-    def test_blocks_match_whole_array(self, shape):
-        # 80 rings take five or six slices of whole rings, one set ending in
-        # a shorter slice, 50 take two and 30 one; the reference sums the
-        # weighted node values correctly rounded
+    def test_matches_exact_route(self, default_rule):
+        # the ring means are exact, and the default rule's radial error is
+        # below 1e-16 out to |z| = 0.99
+        for u in grid_symbols():
+            scale = sum(abs(c) for c in u.coeffs.values())
+            for z in RIM_GRID:
+                error = abs(bz.mean_value_transform(u, z, default_rule)
+                            - bz.berezin_symbol_exact(u, z))
+                assert error <= 1e-14 * scale, (u, z, error)
+
+    @pytest.mark.parametrize("shape", [(30, 100), (50, 100)])
+    def test_matches_fine_angle_node_sums(self, shape):
+        # on coarse radial rules neither function is exact; node sums over
+        # the same radii with 8192 angles check their radial part
         rule = build_rule(*shape)
         rng = np.random.default_rng(43)
-        for _ in range(5):
-            u = suites.random_symbol(rng, max_degree=8)
-            for z in (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j)):
-                whole = fsum_node_sum(node_weights(rule),
-                                      u.compose_mobius_evaluator(z)(rule.nodes))
-                got = bz.mean_value_transform(u, z, rule)
-                assert abs(got - whole) <= 1e-15 * max(1.0, abs(whole))
+        for _ in range(3):
+            u = suites.random_symbol(rng, max_degree=8, n_terms=8)
+            scale = sum(abs(c) for c in u.coeffs.values())
+            for z in (0.0, 0.3, 0.9j, 0.95 * np.exp(2j), 0.99):
+                got = (bz.mean_value_transform(u, z, rule),
+                       bz.harmonic_defect_integral(u, z, rule))
+                for value, want in zip(got, fine_angle_node_sums(u, z, rule)):
+                    assert abs(value - want) <= 2e-15 * scale, (u, z, value, want)
+
+    def test_refuses_size_above_ceiling(self, default_rule, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT taken past the ceiling")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        u = MonomialSymbol({(8, 1): 1.0, (3, 5): 0.5j, (2, 0): -1.0})
+        for route in (bz.mean_value_transform, bz.harmonic_defect_integral):
+            with pytest.raises(ValueError, match=r"needs S = \d+ circle samples"):
+                route(u, 0.9999, default_rule)
+
+    # float.hex of both routes' values, the last at |z| = 0.95; every BLAS
+    # kernel and SIMD setting of the Tier-1 gate must give these bits
+    PINNED = {
+        0.3 + 0.1j: [("0x1.c415381ce46a6p-3", "0x1.5b8b6abe75e92p-6"),
+                     ("-0x1.25211f07f06aep+0", "0x1.b7f8195af6ae7p-6")],
+        -0.6j: [("-0x1.b99ae718fd696p-3", "0x1.5aad17aba531dp-4"),
+                ("-0x1.543514fda0818p+0", "0x1.403e010a746adp-3")],
+        0.57 + 0.76j: [("-0x1.4b51d186d7eb2p-3", "0x1.4ab808268ff1cp-3"),
+                       ("-0x1.23f82fc3c98acp-3", "0x1.96dc78cabf54ap-4")],
+    }
+
+    def test_bits_pinned(self, default_rule):
+        u = MonomialSymbol({(0, 0): 0.5, (3, 1): 1 - 0.5j, (1, 4): 0.25j, (2, 2): -1.0,
+                            (5, 0): 0.75})
+        for z, bits in self.PINNED.items():
+            got = [bz.mean_value_transform(u, z, default_rule),
+                   bz.harmonic_defect_integral(u, z, default_rule)]
+            assert [(v.real.hex(), v.imag.hex()) for v in got] == bits, z
 
     def test_degree_40_memory_stays_small(self, default_rule):
-        # the power table and buffers are capped at 8 x 4096 entries,
-        # 0.52 MB; all 41 powers of 20 480 nodes would take 13 MB
+        # only the powers the mixed terms use (1, 3 and 20) at 256 circle
+        # samples, about 0.06 MB; all 41 powers of 20 480 nodes would take 13 MB
         u = MonomialSymbol({(40, 0): 1.0, (20, 20): -1.0, (3, 1): 1j, (0, 40): 0.5})
         bz.mean_value_transform(u, 0.3 + 0.2j, default_rule)
         tracemalloc.start()
@@ -577,16 +627,16 @@ class TestLaplacians:
             rhs = bz.invariant_laplacian(u, z)
             assert lhs == pytest.approx(rhs, abs=1e-5)
 
-    def test_defect_integral_blocks_match_whole_array(self, default_rule):
-        u = MonomialSymbol({(1, 1): 0.5, (2, 0): 0.3j, (0, 3): -1.0})
-        for z in (0.0, 0.4, 0.3 + 0.4j, -0.99j):
-            composed = u.compose_mobius_evaluator(z)
-            nodes = default_rule.nodes
-            whole = 8.0 * fsum_node_sum(node_weights(default_rule),
-                                        composed(nodes) * (2.0 * np.abs(nodes) ** 2 - 1.0))
-            got = bz.harmonic_defect_integral(u, z, default_rule)
-            # the integrand is up to 8 * 2.5 in size and cancels to 3e-3
-            assert abs(got - whole) <= 1e-14
+    def test_defect_integral_matches_invariant_laplacian_on_grid(self, default_rule):
+        # the exact route's roundoff on the Laplacian symbol grows with its
+        # coefficients, up to 4 j k times u's, so both sums set the scale
+        for u in grid_symbols():
+            laplacian = bz.invariant_laplacian_symbol(u)
+            scale = sum(abs(c) for c in (*u.coeffs.values(), *laplacian.coeffs.values()))
+            for z in RIM_GRID:
+                error = abs(bz.harmonic_defect_integral(u, z, default_rule)
+                            - bz.invariant_laplacian(u, z))
+                assert error <= 1e-14 * scale, (u, z, error)
 
     def test_factored_laplacian(self):
         u = MonomialSymbol({(1, 0): 1.0, (0, 1): 1.0})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from berezinlab import berezin as bz
 from berezinlab.quadrature import (DiskQuadrature, QuadratureWarning,
                                    build_rule, check_rule_for_degree,
                                    monomial_moment)
@@ -119,6 +120,43 @@ class TestMomentFidelity:
             return total
         got = default_rule.integrate(f(default_rule.nodes))
         assert abs(got - doubled.integrate(f(doubled.nodes))) < 1e-10
+
+
+class TestRadialMoments:
+    """The rule's kept moment table against a table built at once."""
+
+    TOPS = (0, 1, 2, 12, 80, 511, 4097)
+
+    @staticmethod
+    def _fresh(rule, top):
+        powers = np.empty((top + 1, rule.n_radial))
+        powers[0] = rule.radial_w
+        powers[1:] = rule.radial_r
+        return np.cumprod(powers, axis=0).sum(axis=1)
+
+    @pytest.mark.parametrize("shape", [(80, 256), (30, 100), (160, 640)])
+    @pytest.mark.parametrize("order", [TOPS, TOPS[::-1], (3, 5, 9, 17, 33, 4097)])
+    def test_prefix_is_bitwise_the_fresh_table(self, shape, order):
+        rule = build_rule(*shape)
+        for top in order:
+            assert not rule.radial_moments(top).flags.writeable
+        for top in self.TOPS:
+            assert np.array_equal(rule.radial_moments(top), self._fresh(rule, top)), top
+
+    # quadrature_tail_estimate before the table was kept, as float.hex
+    TAIL_BITS = [((80, 256), 0.5, 2, "0x1.2000000000000p-240"),
+                 ((80, 256), 0.9j, 12, "0x1.40fb2f62518abp-25"),
+                 ((30, 100), 0.3 + 0.4j, 6, "0x1.00000000a2000p-50"),
+                 ((30, 100), 0.97, 0, "0x1.ccce280c5001cp+3"),
+                 ((160, 640), 0.8, 40, "0x1.6c80000000000p-49"),
+                 ((160, 640), -0.6, 1, "0x1.0000000000000p-53")]
+
+    @pytest.mark.parametrize("shape, z, degree, bits", TAIL_BITS)
+    def test_tail_estimate_bits_unchanged(self, shape, z, degree, bits):
+        rule = build_rule(*shape)
+        assert bz.quadrature_tail_estimate(rule, z, degree).hex() == bits
+        rule.radial_moments(4097)
+        assert bz.quadrature_tail_estimate(rule, z, degree).hex() == bits
 
 
 class TestInsufficiencyWarning:

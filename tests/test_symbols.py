@@ -262,28 +262,22 @@ class TestSlicedEvaluation:
                 assert np.max(np.abs(got - want), initial=0.0) <= 4 * ulp
 
 
-def _horner_sum(u, nodes, weights, z=None):
+def _horner_sum(u, nodes, weights):
     """Reference: Horner node values, their weighted products summed exactly."""
-    values = u.evaluate_array(nodes) if z is None else u.compose_mobius_evaluator(z)(nodes)
-    return fsum_node_sum(weights, values)
+    return fsum_node_sum(weights, u.evaluate_array(nodes))
 
 
 class TestWeightedSum:
-    """The ring power-sum route against Horner node values, and the plain rule
-    sum read from the moment table against Horner node values and exact rule
-    moments."""
-
-    POINTS = (0.0, 0.3, 0.9j, 0.99, 0.999 * np.exp(2j))
+    """The rule's plain weighted sum read from the moment table, against
+    Horner node values and exact rule moments."""
 
     @staticmethod
     def _assert_close(got, want):
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_empty_symbol_is_zero(self, default_rule):
-        empty = MonomialSymbol({})
-        for got in (empty.weighted_sum(default_rule, default_rule.radial_w, 0.5j),
-                    table_sum(empty, measured_moment_table(default_rule, 0))):
-            assert type(got) is complex and got == 0j
+        got = table_sum(MonomialSymbol({}), measured_moment_table(default_rule, 0))
+        assert type(got) is complex and got == 0j
 
     def test_constant(self, default_rule):
         u = MonomialSymbol.constant(2.5 - 1j)
@@ -291,13 +285,7 @@ class TestWeightedSum:
         plain = table_sum(u, measured_moment_table(default_rule, 0))
         self._assert_close(plain, _horner_sum(u, nodes, weights))
         self._assert_close(plain, (2.5 - 1j) * math.fsum(weights))
-        for z in self.POINTS:
-            got = u.weighted_sum(default_rule, default_rule.radial_w, z)
-            self._assert_close(got, _horner_sum(u, nodes, weights, z))
-            self._assert_close(got, (2.5 - 1j) * math.fsum(weights))
 
-    # slices of whole rings: 80 rings take five to eight, some sets ending
-    # in a shorter slice, 50 rings take two and 30 rings one or two
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
     def test_matches_horner(self, shape):
         rule = build_rule(*shape)
@@ -309,9 +297,6 @@ class TestWeightedSum:
         for u in symbols:
             self._assert_close(table_sum(u, table),
                                _horner_sum(u, rule.nodes, node_weights(rule)))
-            for z in self.POINTS:
-                self._assert_close(u.weighted_sum(rule, rule.radial_w, z),
-                                   _horner_sum(u, rule.nodes, node_weights(rule), z))
 
     @pytest.mark.parametrize("shape", [(80, 256), (50, 100), (30, 100)])
     def test_plain_sum_matches_rule_moments(self, shape):
@@ -324,17 +309,6 @@ class TestWeightedSum:
             got = table_sum(u, table)
             self._assert_close(got, exact)
             self._assert_close(got, _horner_sum(u, rule.nodes, node_weights(rule)))
-
-    def test_harmonic_defect_weights(self, default_rule):
-        nodes, r = default_rule.nodes, default_rule.radial_r
-        weights = node_weights(default_rule) * (2.0 * np.abs(nodes) ** 2 - 1.0)
-        ring_weights = default_rule.radial_w * (2.0 * r * r - 1.0)
-        rng = np.random.default_rng(46)
-        for _ in range(4):
-            u = _random_symbol(rng, max_degree=6, n_terms=8)
-            for z in self.POINTS:
-                self._assert_close(u.weighted_sum(default_rule, ring_weights, z),
-                                   _horner_sum(u, nodes, weights, z))
 
 
 class TestAdopt:
